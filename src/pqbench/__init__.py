@@ -8,7 +8,7 @@ throughput and ordering-quality experiments over them.
 """
 from .baseline import LockedHeap, SeqLsmQueue
 from .bench import (BenchConfig, BenchResult, ConfigError, LogOverflowError,
-                    RepResult, SelfCheckError, Summary, mean_ci95,
+                    RepResult, SelfCheckError, Summary, WorkerError, mean_ci95,
                     run_benchmark, run_conservation, run_quality_rep,
                     run_throughput_rep)
 from .core import Block, ClaimTable, Item, Lsm, fit_capacity, make_seq
@@ -28,6 +28,7 @@ __all__ = [
     "KlsmHandle", "KeyStream", "LockedHeap", "LogOverflowError", "Lsm",
     "MqHandle", "MultiQueue", "OpRecord", "RankStats", "RepResult",
     "SelfCheckError", "SeqLsmQueue", "Slsm", "Summary", "ThreadWorkload",
+    "WorkerError",
     "dump_log", "fit_capacity", "inserter_ids", "load_log", "make_seq",
     "mean_ci95", "merge_logs", "prefill_shares", "rank_bound",
     "replay_ranks", "run_benchmark", "run_conservation", "run_quality_rep",

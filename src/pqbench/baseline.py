@@ -1,17 +1,14 @@
 """Strict reference queue: one binary heap behind one lock.
 
 Deletions always return the true minimum, so every deletion has rank 1.
-Used as the quality gold standard and the throughput floor.  The timed
-variants read the clock while still holding the lock, which pins the
-timestamp to the operation's effective point and keeps replayed ranks
-honest even if the scheduler preempts between unlock and logging.
+Used as the quality gold standard and the throughput floor.
 """
 from __future__ import annotations
 
 import heapq
 import random
 import threading
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from .core import Item, Lsm, make_seq
 
@@ -63,20 +60,6 @@ class LockedHeap:
             if not self._heap:
                 return None
             return heapq.heappop(self._heap)
-
-    def insert_timed(self, key: int, clock: Callable[[], float], value=None):
-        with self._lock:
-            it = Item(key, make_seq(0, self._next_seq), value)
-            self._next_seq += 1
-            heapq.heappush(self._heap, it)
-            t = clock()
-        return it, t
-
-    def delete_min_timed(self, clock: Callable[[], float]):
-        with self._lock:
-            it = heapq.heappop(self._heap) if self._heap else None
-            t = clock()
-        return it, t
 
     def live_count(self) -> int:
         with self._lock:

@@ -10,8 +10,8 @@ ordering quality; their throughput is logging-perturbed by design.
 
 Each repetition builds a fresh queue, prefills it according to the
 workload, releases all threads from a barrier, and stops them with a
-flag after the configured duration.  Repetition r derives its seed as
-``seed + 1000003 * r``.
+flag after the configured duration, or as soon as a worker raises.
+Repetition r derives its seed as ``seed + 1000003 * r``.
 """
 from __future__ import annotations
 
@@ -21,11 +21,9 @@ import threading
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import fmean, stdev
 from typing import Callable, List, Optional, Sequence, Tuple
-
-from scipy.stats import t as _student_t
 
 from .baseline import LockedHeap, SeqLsmQueue
 from .klsm import Klsm, rank_bound
@@ -52,6 +50,10 @@ class LogOverflowError(RuntimeError):
 
 class SelfCheckError(RuntimeError):
     """A run-level invariant (item conservation) failed."""
+
+
+class WorkerError(RuntimeError):
+    """A worker thread raised; the original exception is the cause."""
 
 
 @dataclass
@@ -160,6 +162,37 @@ class BenchResult:
     summary: Summary
 
 
+# Student-t 0.975 quantiles for 1..30 degrees of freedom
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+)
+_Z975 = 1.959963984540054
+
+
+def _t975(df: int) -> float:
+    """Student-t 0.975 quantile: tabulated up to 30 degrees of freedom,
+    beyond that the Cornish-Fisher expansion (Abramowitz & Stegun 26.7.5),
+    whose relative error there stays below 2e-8."""
+    if df <= len(_T975):
+        return _T975[df - 1]
+    x = _Z975
+    x2 = x * x
+    g1 = x * (x2 + 1) / 4
+    g2 = x * ((5 * x2 + 16) * x2 + 3) / 96
+    g3 = x * (((3 * x2 + 19) * x2 + 17) * x2 - 15) / 384
+    g4 = x * ((((79 * x2 + 776) * x2 + 1482) * x2 - 1920) * x2 - 945) / 92160
+    return x + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+
+
 def mean_ci95(xs: Sequence[float]) -> Tuple[float, Optional[float]]:
     """Sample mean and the half-width of its 95% confidence interval.
 
@@ -170,9 +203,7 @@ def mean_ci95(xs: Sequence[float]) -> Tuple[float, Optional[float]]:
     m = fmean(xs)
     if n < 2:
         return m, None
-    s = stdev(xs)
-    half = float(_student_t.ppf(0.975, n - 1)) * s / math.sqrt(n)
-    return m, half
+    return m, _t975(n - 1) * stdev(xs) / math.sqrt(n)
 
 
 # ----------------------------------------------------------------------
@@ -317,42 +348,67 @@ def _check_conservation(inserted: Counter, deleted: Counter, drained: Counter):
         )
 
 
-def run_throughput_rep(cfg: BenchConfig, rep: int, track=None) -> RepResult:
-    queue, wls, handles = _build_run(cfg, rep)
-    _prefill(cfg, wls, handles, track=track)
+def _run_rep(cfg: BenchConfig, rep: int, worker, worker_args: Sequence[tuple],
+             logs=None, ticker=None, track=None):
+    """One repetition's lifecycle around ``worker``, the per-thread loop.
+
+    Builds a fresh queue, prefills it, starts one thread per worker with
+    ``worker_args[i]`` appended to its common arguments, opens the timed
+    window at a barrier and closes it by setting ``stop``.  A worker that
+    raises stops the others and surfaces here as :class:`WorkerError`.
+    Returns the handles and the repetition's operation counts.
+    """
+    _, wls, handles = _build_run(cfg, rep)
+    _prefill(cfg, wls, handles, logs=logs, ticker=ticker, track=track)
     stop = threading.Event()
     barrier = threading.Barrier(cfg.threads + 1)
     out: List[Optional[Tuple[int, int, int]]] = [None] * cfg.threads
-    workers = [
-        threading.Thread(
-            target=_throughput_worker,
-            args=(i, handles[i], wls[i], barrier, stop, out, track),
-            daemon=True,
-        )
-        for i in range(cfg.threads)
-    ]
+    errors: List[Tuple[int, BaseException]] = []
+
+    def run(i: int) -> None:
+        try:
+            worker(i, handles[i], wls[i], barrier, stop, out, *worker_args[i])
+        except BaseException as e:  # re-raised in the calling thread
+            # the first entry is the cause; others broke on the barrier
+            errors.append((i, e))
+            stop.set()
+            barrier.abort()
+
+    workers = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(cfg.threads)]
     for w in workers:
         w.start()
-    barrier.wait()
+    try:
+        barrier.wait()
+    except threading.BrokenBarrierError:
+        pass  # a worker failed before the window opened; stop is set
     t0 = time.perf_counter()
-    time.sleep(cfg.duration_s)
+    stop.wait(cfg.duration_s)
     stop.set()
     elapsed = time.perf_counter() - t0
     for w in workers:
         w.join()
+    if errors:
+        i, e = errors[0]
+        raise WorkerError(f"worker {i} failed: {type(e).__name__}: {e}") from e
     ins = sum(o[0] for o in out)
     dels = sum(o[1] for o in out)
     absent = sum(o[2] for o in out)
     ops = ins + dels
-    result = RepResult(rep, ops, ins, dels, absent, elapsed, ops / elapsed / 1e6)
+    return handles, RepResult(rep, ops, ins, dels, absent, elapsed,
+                              ops / elapsed / 1e6)
+
+
+def run_throughput_rep(cfg: BenchConfig, rep: int) -> RepResult:
+    track = None
+    if cfg.checks_enabled:
+        track = [(Counter(), Counter()) for _ in range(cfg.threads)]
+    handles, result = _run_rep(cfg, rep, _throughput_worker,
+                               [(track,)] * cfg.threads, track=track)
     if track is not None:
-        inserted = Counter()
-        deleted = Counter()
-        for tins, tdel in track:
-            inserted.update(tins)
-            deleted.update(tdel)
-        drained = _drain(handles[0])
-        _check_conservation(inserted, deleted, drained)
+        inserted = sum((t[0] for t in track), Counter())
+        deleted = sum((t[1] for t in track), Counter())
+        _check_conservation(inserted, deleted, _drain(handles[0]))
     return result
 
 
@@ -360,47 +416,23 @@ def run_conservation(cfg: BenchConfig, rep: int = 0) -> RepResult:
     """Throughput-style run that tracks and verifies item conservation:
     inserted keys = deleted keys + keys drained afterwards, as multisets.
     """
-    track = [(Counter(), Counter()) for _ in range(cfg.threads)]
-    return run_throughput_rep(cfg, rep, track=track)
+    return run_throughput_rep(replace(cfg, self_check=True), rep)
 
 
 def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
-    queue, wls, handles = _build_run(cfg, rep)
     logs: List[List[OpRecord]] = [[] for _ in range(cfg.threads)]
     ticker = _Ticker()
-    _prefill(cfg, wls, handles, logs=logs, ticker=ticker)
-    stop = threading.Event()
     overflow = threading.Event()
     commit = threading.Lock()
-    barrier = threading.Barrier(cfg.threads + 1)
-    out: List[Optional[Tuple[int, int, int]]] = [None] * cfg.threads
     per_cap = max(1, cfg.max_log_events // cfg.threads)
-    workers = [
-        threading.Thread(
-            target=_quality_worker,
-            args=(i, handles[i], wls[i], barrier, stop, out, logs[i], commit,
-                  ticker, per_cap, overflow),
-            daemon=True,
-        )
-        for i in range(cfg.threads)
-    ]
-    for w in workers:
-        w.start()
-    barrier.wait()
-    t0 = time.perf_counter()
-    time.sleep(cfg.duration_s)
-    stop.set()
-    elapsed = time.perf_counter() - t0
-    for w in workers:
-        w.join()
+    args = [(logs[i], commit, ticker, per_cap, overflow)
+            for i in range(cfg.threads)]
+    handles, result = _run_rep(cfg, rep, _quality_worker, args,
+                               logs=logs, ticker=ticker)
     if overflow.is_set():
         raise LogOverflowError(
             f"quality log exceeded {cfg.max_log_events} events; shorten the run"
         )
-    ins = sum(o[0] for o in out)
-    dels = sum(o[1] for o in out)
-    absent = sum(o[2] for o in out)
-    ops = ins + dels
 
     merged = merge_logs(logs)
     ranks = replay_ranks(merged)
@@ -409,14 +441,10 @@ def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
     if cfg.checks_enabled:
         inserted = Counter(r.key for r in merged if r.kind == INSERT)
         deleted = Counter(r.key for r in merged if r.kind == DELETE)
-        drained = _drain(handles[0])
-        _check_conservation(inserted, deleted, drained)
+        _check_conservation(inserted, deleted, _drain(handles[0]))
 
-    return RepResult(
-        rep, ops, ins, dels, absent, elapsed, ops / elapsed / 1e6,
-        rank_mean=stats.rank_mean, rank_std=stats.rank_std,
-        rank_max=stats.rank_max, violations=stats.violations,
-    )
+    return replace(result, rank_mean=stats.rank_mean, rank_std=stats.rank_std,
+                   rank_max=stats.rank_max, violations=stats.violations)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 from typing import List, Optional
 
 from .bench import (BenchConfig, BenchResult, ConfigError, LogOverflowError,
-                    SelfCheckError, run_benchmark)
+                    SelfCheckError, WorkerError, run_benchmark)
 
 CSV_FIELDS = (
     "queue", "k", "c", "threads", "workload", "keydist", "prefill",
@@ -39,10 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-s", type=float, default=10.0, dest="duration_s")
     p.add_argument("--reps", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["throughput", "quality", "latency"],
-                   default="throughput",
-                   help="latency is accepted for compatibility but not "
-                        "implemented")
+    p.add_argument("--mode", choices=["throughput", "quality"],
+                   default="throughput")
     p.add_argument("--csv", metavar="PATH", default=None,
                    help="write per-repetition rows plus a summary row here")
     p.add_argument("--depend-on-deleted", action="store_true",
@@ -139,8 +137,6 @@ def emit_report(result: BenchResult, path: Optional[str] = None,
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.mode == "latency":
-        parser.error("latency mode is not implemented")
     cfg = config_from_args(args)
     try:
         cfg.validate()
@@ -148,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(e))   # exits with code 2 and usage text
     try:
         result = run_benchmark(cfg)
-    except (SelfCheckError, LogOverflowError) as e:
+    except (SelfCheckError, LogOverflowError, WorkerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     try:

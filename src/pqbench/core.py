@@ -156,6 +156,16 @@ class Block:
         return f"Block(cap={self.capacity}, occ={self.occupancy})"
 
 
+def fitted(items: List[Item], head: int = 0) -> Block:
+    """A block over ``items[head:]`` whose capacity fits its occupancy.
+
+    This is the one shrink-to-fit rule: a block at most half full takes
+    the smallest power-of-two capacity that holds it, which restores the
+    invariant capacity/2 < occupancy <= capacity.
+    """
+    return Block(fit_capacity(len(items) - head), items, head)
+
+
 def merge_blocks(a: Block, b: Block) -> Optional[Block]:
     """Merge two equal-capacity blocks into one of doubled capacity.
 
@@ -166,12 +176,34 @@ def merge_blocks(a: Block, b: Block) -> Optional[Block]:
     if a.capacity != b.capacity:
         raise ValueError("merge requires equal capacities")
     merged = merge_sorted_live(a.items, a.head, b.items, b.head)
-    if not merged:
-        return None
-    capacity = 2 * a.capacity
-    if len(merged) <= capacity // 2:
-        capacity = fit_capacity(len(merged))
-    return Block(capacity, merged)
+    return fitted(merged) if merged else None
+
+
+def place(blocks: List[Block], blk: Block) -> None:
+    """Add ``blk`` to a descending-capacity block list, binary-counter style.
+
+    While a block of equal capacity exists the two merge and the carry
+    moves on; the result lands in capacity order.  Merging builds new
+    blocks, so snapshots that still hold the old ones stay valid.
+    """
+    while True:
+        match = None
+        for b in blocks:
+            if b.capacity == blk.capacity:
+                match = b
+                break
+        if match is None:
+            break
+        blocks.remove(match)
+        merged = merge_blocks(match, blk)
+        if merged is None:
+            return
+        blk = merged
+    for i, b in enumerate(blocks):
+        if b.capacity < blk.capacity:
+            blocks.insert(i, blk)
+            return
+    blocks.append(blk)
 
 
 class Lsm:
@@ -196,40 +228,16 @@ class Lsm:
         return self.size
 
     def insert(self, item: Item) -> None:
-        self._place(Block(1, [item]))
-
-    def _place(self, blk: Block) -> None:
-        # binary-counter cascade: merge while an equal capacity exists
-        blocks = self.blocks
-        while True:
-            match = None
-            for b in blocks:
-                if b.capacity == blk.capacity:
-                    match = b
-                    break
-            if match is None:
-                break
-            blocks.remove(match)
-            merged = merge_blocks(match, blk)
-            if merged is None:
-                return
-            blk = merged
-        for i, b in enumerate(blocks):
-            if b.capacity < blk.capacity:
-                blocks.insert(i, blk)
-                return
-        blocks.append(blk)
+        place(self.blocks, Block(1, [item]))
 
     def _maintain(self, blk: Block) -> None:
         # restore the half-full invariant after head advances
-        occ = blk.occupancy
-        if occ == 0:
-            self.blocks.remove(blk)
-            return
-        if occ > blk.capacity // 2:
+        occ = len(blk.items) - blk.head
+        if occ and fit_capacity(occ) == blk.capacity:
             return
         self.blocks.remove(blk)
-        self._place(Block(fit_capacity(occ), blk.items, blk.head))
+        if occ:
+            place(self.blocks, fitted(blk.items, blk.head))
 
     def _cleanup(self) -> None:
         # drop remotely consumed items sitting at block heads

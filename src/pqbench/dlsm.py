@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from typing import List, Optional, Tuple
 
-from .core import Block, ClaimTable, Item, Lsm, fit_capacity
+from .core import Block, ClaimTable, Item, Lsm, fitted, place
 
 Snapshot = Tuple[Block, ...]
 
@@ -130,16 +130,12 @@ class DlsmHandle:
                     continue
                 # the victim may have advanced the shared head since
                 # publishing, so restore the half-full invariant here
-                occ = len(items) - head
-                cap = blk.capacity
-                if occ <= cap // 2:
-                    cap = fit_capacity(occ)
-                copied.append(Block(cap, items, head))
+                copied.append(fitted(items, head))
                 live += blk_live
             if live:
-                local = self.local
-                for blk in copied:  # _place merges any capacity collisions
-                    local._place(blk)
+                blocks = self.local.blocks
+                for blk in copied:  # place merges any capacity collisions
+                    place(blocks, blk)
                 self.publish()
                 return live
             dead[victim] = snap

@@ -16,55 +16,59 @@ import threading
 from bisect import bisect_right
 from typing import List, Optional, Tuple
 
-from .core import Block, ClaimTable, Item, fit_capacity, merge_sorted_live
+from .core import Block, ClaimTable, Item, fitted, place
+# unused here, but kept bound: tracers patch merge_sorted_live in this module
+from .core import merge_sorted_live  # noqa: F401
 
 # rejection-sampling attempts before rebuilding a mostly-dead window
 PICK_ATTEMPTS = 16
 
 
 class _State:
-    """Immutable snapshot: blocks, per-block dead prefixes, window layout.
+    """Immutable snapshot: blocks and window layout.
 
-    ``spans`` describe which slice of each block the window covers (embedded
-    consumed items included); ``members`` list the covered items that were
-    live at scan time, so random picks never degrade below the window's own
-    consumption rate no matter how many dead slots the spans straddle.
+    Each block's ``head`` marks the dead prefix skipped at the last scan;
+    published blocks are never mutated, a scan that advances a head makes
+    a new block.  ``spans`` describe which slice of each block, from its
+    head, the window covers (embedded consumed items included);
+    ``members`` list the covered items that were live at scan time, so
+    random picks never degrade below the window's own consumption rate no
+    matter how many dead slots the spans straddle.
     """
 
-    __slots__ = ("blocks", "heads", "spans", "range_max", "version",
-                 "total_span", "members")
+    __slots__ = ("blocks", "spans", "range_max", "total_span", "members",
+                 "version")
 
-    def __init__(self, blocks, heads, spans, range_max, version, total_span,
-                 members):
+    def __init__(self, blocks, spans, range_max, total_span, members, version):
         self.blocks: Tuple[Block, ...] = blocks
-        self.heads: Tuple[int, ...] = heads
         self.spans: Tuple[int, ...] = spans
         self.range_max: Optional[Tuple[int, int]] = range_max
-        self.version = version
         self.total_span = total_span
         self.members: Tuple[Item, ...] = members
+        self.version = version
 
 
-def _scan_window(blocks, heads, k):
+def _scan_window(blocks, k):
     """k-way head scan: advance past dead prefixes, cover the k+1 smallest
     live items, drop fully consumed blocks."""
     keep_blocks: List[Block] = []
-    keep_heads: List[int] = []
     heap = []
-    for blk, h in zip(blocks, heads):
+    for blk in blocks:
         items = blk.items
         n = len(items)
+        h = blk.head
         while h < n and items[h].taken:
             h += 1
         if h >= n:
             continue
+        if h != blk.head:
+            blk = Block(blk.capacity, items, h)
         idx = len(keep_blocks)
         keep_blocks.append(blk)
-        keep_heads.append(h)
         it = items[h]
         heap.append((it.key, it.seq, idx, h))
     heapq.heapify(heap)
-    ends = list(keep_heads)
+    ends = [blk.head for blk in keep_blocks]
     members: List[Item] = []
     range_max = None
     while heap and len(members) < k + 1:
@@ -80,15 +84,8 @@ def _scan_window(blocks, heads, k):
         if p < n:
             nxt = items[p]
             heapq.heappush(heap, (nxt.key, nxt.seq, idx, p))
-    spans = tuple(ends[i] - keep_heads[i] for i in range(len(keep_blocks)))
-    return (
-        tuple(keep_blocks),
-        tuple(keep_heads),
-        spans,
-        range_max,
-        sum(spans),
-        tuple(members),
-    )
+    spans = tuple(end - blk.head for blk, end in zip(keep_blocks, ends))
+    return tuple(keep_blocks), spans, range_max, sum(spans), tuple(members)
 
 
 class Slsm:
@@ -100,7 +97,7 @@ class Slsm:
         self.k = k
         self.claims = claims if claims is not None else ClaimTable()
         self._lock = threading.Lock()
-        self._state = _State((), (), (), None, 0, 0, ())
+        self._state = _State((), (), None, 0, (), 0)
 
     @property
     def version(self) -> int:
@@ -127,75 +124,37 @@ class Slsm:
             live = [it for it in blk.items[blk.head:] if not it.taken]
             if not live:
                 return
-            cap = blk.capacity
-            if len(live) <= cap // 2:
-                cap = fit_capacity(len(live))
-            if self._swap(s, self._inserted(s, Block(cap, live))):
+            if self._swap(s, self._inserted(s, fitted(live))):
                 return
 
     def _inserted(self, s: _State, nb: Block) -> _State:
         blocks = list(s.blocks)
-        heads = list(s.heads)
-        span_by_block = {id(b): sp for b, sp in zip(s.blocks, s.spans)}
-
-        blk: Optional[Block] = nb
-        bh = 0
-        while blk is not None:
-            idx = None
-            for i, b in enumerate(blocks):
-                if b.capacity == blk.capacity:
-                    idx = i
-                    break
-            if idx is None:
-                break
-            other = blocks.pop(idx)
-            oh = heads.pop(idx)
-            merged = merge_sorted_live(other.items, oh, blk.items, bh)
-            if not merged:
-                blk = None
-                break
-            cap = 2 * blk.capacity
-            if len(merged) <= cap // 2:
-                cap = fit_capacity(len(merged))
-            blk, bh = Block(cap, merged), 0
-        if blk is not None:
-            pos = len(blocks)
-            for i, b in enumerate(blocks):
-                if b.capacity < blk.capacity:
-                    pos = i
-                    break
-            blocks.insert(pos, blk)
-            heads.insert(pos, bh)
+        place(blocks, nb)
 
         batch_min = (nb.items[0].key, nb.items[0].seq)
         if s.range_max is None or s.total_span == 0 or batch_min < s.range_max:
-            b2, h2, spans, rmax, total, members = _scan_window(blocks, heads, self.k)
-            return _State(b2, h2, spans, rmax, s.version + 1, total, members)
+            return _State(*_scan_window(blocks, self.k), s.version + 1)
 
-        # remap: untouched blocks keep their spans; the one new block got
+        # remap: untouched blocks keep their spans; a new block starts at
         # head 0 and its window share is exactly its items <= range_max.
         # The member items themselves are unaffected -- they keep their
         # identity through any block merges -- so they carry over as-is.
+        span_by_block = {id(b): sp for b, sp in zip(s.blocks, s.spans)}
         spans = []
-        for b, h in zip(blocks, heads):
+        for b in blocks:
             sp = span_by_block.get(id(b))
             if sp is None:
                 sp = bisect_right(b.items, s.range_max, key=lambda it: (it.key, it.seq))
             spans.append(sp)
         spans_t = tuple(spans)
-        return _State(
-            tuple(blocks), tuple(heads), spans_t, s.range_max, s.version,
-            sum(spans_t), s.members,
-        )
+        return _State(tuple(blocks), spans_t, s.range_max, sum(spans_t),
+                      s.members, s.version)
 
     # ------------------------------------------------------------------
     # deletion
 
     def _rebuild_from(self, s: _State) -> None:
-        blocks, heads, spans, rmax, total, members = _scan_window(
-            s.blocks, s.heads, self.k)
-        self._swap(s, _State(blocks, heads, spans, rmax, s.version + 1, total,
-                             members))
+        self._swap(s, _State(*_scan_window(s.blocks, self.k), s.version + 1))
 
     def peek_candidate(self, rng) -> Optional[Item]:
         """A uniformly random live window member, or None if observed empty.
@@ -232,8 +191,8 @@ class Slsm:
     def window_items(self) -> List[Item]:
         s = self._state
         out = []
-        for blk, h, span in zip(s.blocks, s.heads, s.spans):
-            for it in blk.items[h:h + span]:
+        for blk, span in zip(s.blocks, s.spans):
+            for it in blk.items[blk.head:blk.head + span]:
                 if not it.taken:
                     out.append(it)
         return out
@@ -244,8 +203,8 @@ class Slsm:
     def live_items(self) -> List[Item]:
         s = self._state
         out = []
-        for blk, h in zip(s.blocks, s.heads):
-            for it in blk.items[h:]:
+        for blk in s.blocks:
+            for it in blk.items[blk.head:]:
                 if not it.taken:
                     out.append(it)
         return out

@@ -30,21 +30,6 @@ def test_locked_heap_tie_break_is_insertion_order():
     assert q.delete_min() is second
 
 
-def test_timed_variants_stamp_under_the_lock():
-    q = LockedHeap()
-    ticks = iter(range(1000))
-    clock = lambda: next(ticks)
-    _, t1 = q.insert_timed(4, clock)
-    _, t2 = q.insert_timed(2, clock)
-    it, t3 = q.delete_min_timed(clock)
-    assert it.key == 2
-    assert t1 < t2 < t3
-    it, t4 = q.delete_min_timed(clock)
-    assert it.key == 4 and t4 > t3
-    none_item, t5 = q.delete_min_timed(clock)
-    assert none_item is None and t5 > t4
-
-
 def test_locked_heap_concurrent_conservation():
     q = LockedHeap()
     nthreads = 4

@@ -2,15 +2,18 @@
 import math
 import random
 import statistics
+import time
 
 import pytest
 
+from pqbench import bench
 from pqbench.baseline import LockedHeap, SeqLsmQueue
 from pqbench.bench import (BenchConfig, ConfigError, LogOverflowError,
-                           RepResult, _build_run, _prefill, _Ticker, aggregate,
-                           make_queue, mean_ci95, pinning_supported,
-                           run_benchmark, run_conservation, run_quality_rep,
-                           run_throughput_rep)
+                           RepResult, SelfCheckError, WorkerError, _build_run,
+                           _prefill, _Ticker, aggregate, make_queue, mean_ci95,
+                           pinning_supported, run_benchmark, run_conservation,
+                           run_quality_rep, run_throughput_rep)
+from pqbench.core import Item, make_seq
 from pqbench.klsm import Klsm
 from pqbench.multiqueue import MultiQueue
 
@@ -110,6 +113,29 @@ def test_mean_ci95_matches_formula_on_30_samples():
     assert half == pytest.approx(expect_half, rel=1e-9)
 
 
+# Student-t 0.975 quantiles by degrees of freedom, generated once with
+# scipy.stats.t.ppf(0.975, df)
+T975_REFERENCE = [
+    (1, 12.706204736174694),
+    (2, 4.302652729749462),
+    (29, 2.045229642132703),
+    (30, 2.0422724563012378),
+    (31, 2.039513446396408),
+    (60, 2.0002978220142604),
+    (120, 1.9799304050824402),
+    (1000, 1.9623390808264083),
+]
+
+
+@pytest.mark.parametrize("df,t975", T975_REFERENCE)
+def test_mean_ci95_t_quantile_matches_reference(df, t975):
+    rng = random.Random(df)
+    xs = [rng.uniform(0, 100) for _ in range(df + 1)]
+    _, half = mean_ci95(xs)
+    expect = t975 * statistics.stdev(xs) / math.sqrt(df + 1)
+    assert half == pytest.approx(expect, rel=1e-7)
+
+
 def test_ticker_is_strictly_increasing():
     tick = _Ticker()
     seen = [tick.tick() for _ in range(100)]
@@ -203,6 +229,46 @@ def test_quality_rep_overflow():
     c = cfg(mode="quality", duration_s=0.5, max_log_events=100)
     with pytest.raises(LogOverflowError):
         run_quality_rep(c, 0)
+
+
+class _StubQueue:
+    """Queue stand-in: inserts are dropped, ``fail`` makes every op raise."""
+
+    def __init__(self, fail=False):
+        self.fail = fail
+        self.seq = 0
+
+    def register(self, rng=None):
+        return self
+
+    def insert(self, key, value=None):
+        if self.fail:
+            raise KeyError("stub queue failure")
+        self.seq += 1
+        return Item(key, make_seq(0, self.seq), value)
+
+    def delete_min(self):
+        if self.fail:
+            raise KeyError("stub queue failure")
+        return None
+
+
+@pytest.mark.parametrize("run", [run_throughput_rep, run_quality_rep])
+def test_worker_exception_surfaces_as_worker_error(monkeypatch, run):
+    monkeypatch.setattr(bench, "make_queue", lambda c: _StubQueue(fail=True))
+    t0 = time.perf_counter()
+    with pytest.raises(WorkerError) as e:
+        run(cfg(threads=2, duration_s=30.0), 0)
+    assert isinstance(e.value.__cause__, KeyError)
+    # the failure ends the window instead of waiting out the duration
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_throughput_self_check_catches_a_dropped_item(monkeypatch):
+    monkeypatch.setattr(bench, "make_queue", lambda c: _StubQueue())
+    c = cfg(prefill=10, self_check=True)
+    with pytest.raises(SelfCheckError):
+        run_throughput_rep(c, 0)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import csv
 
 import pytest
 
+import pqbench.bench as bench
 import pqbench.cli as cli
 from pqbench.bench import BenchConfig, BenchResult, RepResult, aggregate
 from pqbench.cli import (CSV_FIELDS, build_parser, config_from_args, csv_rows,
@@ -114,6 +115,23 @@ def test_unwritable_csv_path_exits_1(tmp_path, capsys):
                  "--duration-s", "0.05", "--reps", "1", "--csv", str(bad)])
     assert code == 1
     assert "cannot write report" in capsys.readouterr().err
+
+
+def test_failed_worker_exits_1(monkeypatch, capsys):
+    class Broken:
+        def register(self, rng=None):
+            return self
+
+        def insert(self, *args):
+            raise ValueError("broken queue")
+
+        delete_min = insert
+
+    monkeypatch.setattr(bench, "make_queue", lambda c: Broken())
+    code = main(["--queue", "globallock", "--prefill", "0",
+                 "--duration-s", "5", "--reps", "1"])
+    assert code == 1
+    assert "worker 0 failed: ValueError: broken queue" in capsys.readouterr().err
 
 
 def test_bound_violations_exit_3(monkeypatch, capsys):

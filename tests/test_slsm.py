@@ -60,15 +60,25 @@ def test_scan_window_hand_example():
     """Blocks [1,4,9] and [2,3,50] with k=3 give spans of 2 and 2."""
     a = Block(4, [Item(k, make_seq(0, i)) for i, k in enumerate([1, 4, 9])])
     b = Block(4, [Item(k, make_seq(1, i)) for i, k in enumerate([2, 3, 50])])
-    blocks, heads, spans, range_max, total, members = _scan_window(
-        (a, b), (0, 0), 3)
+    blocks, spans, range_max, total, members = _scan_window((a, b), 3)
     assert spans == (2, 2)
     assert total == 4
-    covered = [blk.items[h + i].key
-               for blk, h, sp in zip(blocks, heads, spans) for i in range(sp)]
+    covered = [blk.items[blk.head + i].key
+               for blk, sp in zip(blocks, spans) for i in range(sp)]
     assert sorted(covered) == [1, 2, 3, 4]
     assert range_max[0] == 4
     assert [it.key for it in members] == [1, 2, 3, 4]   # ascending scan order
+
+
+def test_scan_window_moves_heads_on_new_blocks():
+    items = [Item(k, make_seq(0, i)) for i, k in enumerate([1, 2, 3, 4])]
+    a = Block(4, items)
+    items[0].taken = items[1].taken = True
+    blocks, spans, _, total, members = _scan_window((a,), 1)
+    assert a.head == 0   # a published block is never mutated
+    assert blocks[0] is not a and blocks[0].head == 2
+    assert spans == (2,) and total == 2
+    assert [it.key for it in members] == [3, 4]
 
 
 def test_version_stable_when_batch_sorts_above_window():
