@@ -28,10 +28,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .baseline import LockedHeap, SeqLsmQueue
 from .klsm import Klsm, rank_bound
 from .multiqueue import MultiQueue
-from .ranks import (DELETE, INSERT, OpRecord, merge_logs, replay_ranks,
-                    summarize_ranks)
-from .workload import (KEY_KINDS, WORKLOAD_KINDS, ThreadWorkload,
-                       inserter_ids, prefill_shares, stream)
+from .ranks import OpRecord, merge_logs, replay_ranks, summarize_ranks
+from .workload import (DELETE, INSERT, KEY_KINDS, WORKLOAD_KINDS,
+                       ThreadWorkload, inserter_ids, prefill_shares, stream)
 
 QUEUE_KINDS = ("klsm", "multiq", "globallock", "seqlsm")
 MODES = ("throughput", "quality")

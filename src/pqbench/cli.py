@@ -6,8 +6,10 @@ import csv
 import sys
 from typing import List, Optional
 
-from .bench import (BenchConfig, BenchResult, ConfigError, LogOverflowError,
-                    SelfCheckError, WorkerError, run_benchmark)
+from .bench import (MODES, QUEUE_KINDS, BenchConfig, BenchResult, ConfigError,
+                    LogOverflowError, SelfCheckError, WorkerError,
+                    run_benchmark)
+from .workload import KEY_KINDS, WORKLOAD_KINDS
 
 CSV_FIELDS = (
     "queue", "k", "c", "threads", "workload", "keydist", "prefill",
@@ -23,24 +25,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Throughput and ordering-quality benchmarks for "
                     "relaxed concurrent priority queues.",
     )
-    p.add_argument("--queue", choices=["klsm", "multiq", "globallock", "seqlsm"],
-                   default="klsm")
+    p.add_argument("--queue", choices=QUEUE_KINDS, default="klsm")
     p.add_argument("--k", type=int, default=None,
                    help="relaxation parameter for klsm (default 256)")
     p.add_argument("--c", type=int, default=4,
                    help="sub-queues per thread for multiq (default 4)")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--workload", choices=["uniform", "split", "alternating"],
-                   default="uniform")
-    p.add_argument("--keys", choices=["uniform32", "uniform16", "uniform8",
-                                      "ascending", "descending", "unique32"],
-                   default="uniform32")
+    p.add_argument("--workload", choices=WORKLOAD_KINDS, default="uniform")
+    p.add_argument("--keys", choices=KEY_KINDS, default="uniform32")
     p.add_argument("--prefill", type=int, default=1_000_000)
     p.add_argument("--duration-s", type=float, default=10.0, dest="duration_s")
     p.add_argument("--reps", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["throughput", "quality"],
-                   default="throughput")
+    p.add_argument("--mode", choices=MODES, default="throughput")
     p.add_argument("--csv", metavar="PATH", default=None,
                    help="write per-repetition rows plus a summary row here")
     p.add_argument("--depend-on-deleted", action="store_true",

@@ -10,7 +10,7 @@ smallest block head.  Both operations are O(log n) amortised.
 from __future__ import annotations
 
 import threading
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 SEQ_THREAD_SHIFT = 48
 
@@ -206,6 +206,30 @@ def place(blocks: List[Block], blk: Block) -> None:
     blocks.append(blk)
 
 
+def compact(blocks: Iterable[Block]) -> List[Block]:
+    """A new block list whose every block starts at a live item.
+
+    This is the one dead-prefix rule: each block's head skips the items
+    other claimants already took, a block with nothing live left is
+    dropped, and a block whose head moved is re-fitted.  Every block goes
+    through :func:`place`, so re-fitted blocks that collide on capacity
+    merge.  The input list and its blocks are never mutated.
+    """
+    out: List[Block] = []
+    for blk in blocks:
+        items = blk.items
+        n = len(items)
+        h = blk.head
+        while h < n and items[h].taken:
+            h += 1
+        if h == n:
+            continue
+        if h != blk.head:
+            blk = fitted(items, h)
+        place(out, blk)
+    return out
+
+
 class Lsm:
     """Sequential priority queue over distinct-capacity sorted blocks.
 
@@ -241,22 +265,10 @@ class Lsm:
 
     def _cleanup(self) -> None:
         # drop remotely consumed items sitting at block heads
-        restart = True
-        while restart:
-            restart = False
-            for blk in self.blocks:
-                items = blk.items
-                n = len(items)
-                h = blk.head
-                while h < n and items[h].taken:
-                    h += 1
-                if h != blk.head:
-                    blk.head = h
-                    before = len(self.blocks)
-                    self._maintain(blk)
-                    if len(self.blocks) != before or blk not in self.blocks:
-                        restart = True
-                        break
+        for blk in self.blocks:
+            if blk.items[blk.head].taken:
+                self.blocks = compact(self.blocks)
+                return
 
     def peek_min(self) -> Optional[Tuple[Block, Item]]:
         """Smallest live head and the block to pop it from.

@@ -100,9 +100,7 @@ class MultiQueue:
     def _sweep(self) -> Optional[Item]:
         """Hold every lock at once for a consistent global pop or a firm
         answer that the structure is empty."""
-        for lock in self.locks:
-            lock.acquire()
-        try:
+        with self._all_locks():
             best = None
             for i, h in enumerate(self.heaps):
                 if h and (best is None or h[0] < self.heaps[best][0]):
@@ -113,9 +111,6 @@ class MultiQueue:
             it = heapq.heappop(h)
             self.tops[best] = h[0] if h else None
             return it
-        finally:
-            for lock in self.locks:
-                lock.release()
 
     # ------------------------------------------------------------------
 

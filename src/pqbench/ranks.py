@@ -2,24 +2,23 @@
 
 Each benchmark thread logs its operations; the merged, time-ordered log
 is replayed against an order-statistic counter to find each deletion's
-rank: the position of the deleted key among all keys live at that moment
-(1 = true minimum).  Keys may repeat, and a replay cannot know which
-duplicate the queue really removed, so the rank is charged pessimistically
-as the count of live keys less than or equal to the deleted one.
+rank: the position of the deleted item among all items live at that
+moment (1 = true minimum), under the queues' own total order
+``(key, seq)``.  Keys may repeat, but seq is unique, so the rank is exact:
+a live duplicate of the deleted key counts only if its seq is smaller.
 
-Key space is known in full before replay starts, so the counter is a
-Fenwick (binary indexed) tree over the compressed key universe; each
-event costs O(log u) for u distinct keys.
+Every inserted item is known before replay starts, so the counter is a
+Fenwick (binary indexed) tree over the items' ``(key, seq)`` positions,
+found by one dict lookup per event; each event costs O(log n) for n
+inserted items.
 """
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
 from statistics import fmean, stdev
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
-INSERT = "insert"
-DELETE = "delete"
+from .workload import DELETE, INSERT
 
 
 class CorruptLogError(ValueError):
@@ -80,8 +79,13 @@ def replay_ranks(records: Sequence[OpRecord]) -> List[int]:
     timestamps out of order, an item inserted twice, or a deletion of an
     item that is not live.
     """
-    universe = sorted({r.key for r in records if r.kind == INSERT})
-    fen = Fenwick(len(universe))
+    pos: Dict[int, int] = {}         # seq -> Fenwick index in (key, seq) order
+    for i, (_, seq) in enumerate(
+            sorted((r.key, r.seq) for r in records if r.kind == INSERT), 1):
+        if seq in pos:
+            raise CorruptLogError(f"duplicate insert of seq {seq}")
+        pos[seq] = i
+    fen = Fenwick(len(pos))
     live_key: Dict[int, int] = {}    # seq -> key
     ranks: List[int] = []
     last_ts = None
@@ -90,13 +94,8 @@ def replay_ranks(records: Sequence[OpRecord]) -> List[int]:
             raise CorruptLogError(f"timestamps regress at seq {rec.seq}")
         last_ts = rec.timestamp
         if rec.kind == INSERT:
-            if rec.seq in live_key:
-                raise CorruptLogError(f"duplicate insert of seq {rec.seq}")
-            idx = bisect_left(universe, rec.key)
-            if idx >= len(universe) or universe[idx] != rec.key:
-                raise CorruptLogError(f"insert key {rec.key} missing from universe")
             live_key[rec.seq] = rec.key
-            fen.add(idx + 1, 1)
+            fen.add(pos[rec.seq], 1)
         elif rec.kind == DELETE:
             key = live_key.pop(rec.seq, None)
             if key is None:
@@ -105,9 +104,9 @@ def replay_ranks(records: Sequence[OpRecord]) -> List[int]:
                 raise CorruptLogError(
                     f"delete of seq {rec.seq} reports key {rec.key}, inserted {key}"
                 )
-            idx = bisect_left(universe, key)
-            ranks.append(fen.prefix(idx + 1))
-            fen.add(idx + 1, -1)
+            i = pos[rec.seq]
+            ranks.append(fen.prefix(i))
+            fen.add(i, -1)
         else:
             raise CorruptLogError(f"unknown record kind {rec.kind!r}")
     return ranks

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import heapq
 import threading
-from bisect import bisect_right
 from typing import List, Optional, Tuple
 
-from .core import Block, ClaimTable, Item, fitted, place
+from .core import Block, ClaimTable, Item, compact, fitted, place
 # unused here, but kept bound: tracers patch merge_sorted_live in this module
 from .core import merge_sorted_live  # noqa: F401
 
@@ -25,57 +24,37 @@ PICK_ATTEMPTS = 16
 
 
 class _State:
-    """Immutable snapshot: blocks and window layout.
+    """Immutable snapshot: blocks and window.
 
-    Each block's ``head`` marks the dead prefix skipped at the last scan;
-    published blocks are never mutated, a scan that advances a head makes
-    a new block.  ``spans`` describe which slice of each block, from its
-    head, the window covers (embedded consumed items included);
-    ``members`` list the covered items that were live at scan time, so
-    random picks never degrade below the window's own consumption rate no
-    matter how many dead slots the spans straddle.
+    Published blocks are never mutated; a scan that skips a dead prefix
+    makes new blocks.  ``members`` are the at most k+1 smallest items that
+    were live at scan time, in ascending order.  Every live item at or
+    below ``members[-1]`` is a member, and later batches join without a
+    rescan only when none of their items sorts below it, so the live
+    members are the window.
     """
 
-    __slots__ = ("blocks", "spans", "range_max", "total_span", "members",
-                 "version")
+    __slots__ = ("blocks", "members", "version")
 
-    def __init__(self, blocks, spans, range_max, total_span, members, version):
+    def __init__(self, blocks, members, version):
         self.blocks: Tuple[Block, ...] = blocks
-        self.spans: Tuple[int, ...] = spans
-        self.range_max: Optional[Tuple[int, int]] = range_max
-        self.total_span = total_span
         self.members: Tuple[Item, ...] = members
         self.version = version
 
 
 def _scan_window(blocks, k):
-    """k-way head scan: advance past dead prefixes, cover the k+1 smallest
-    live items, drop fully consumed blocks."""
-    keep_blocks: List[Block] = []
+    """Skip dead prefixes, then collect the k+1 smallest live items with a
+    k-way head scan."""
+    blocks = compact(blocks)
     heap = []
-    for blk in blocks:
-        items = blk.items
-        n = len(items)
-        h = blk.head
-        while h < n and items[h].taken:
-            h += 1
-        if h >= n:
-            continue
-        if h != blk.head:
-            blk = Block(blk.capacity, items, h)
-        idx = len(keep_blocks)
-        keep_blocks.append(blk)
-        it = items[h]
-        heap.append((it.key, it.seq, idx, h))
+    for idx, blk in enumerate(blocks):
+        it = blk.items[blk.head]
+        heap.append((it.key, it.seq, idx, blk.head))
     heapq.heapify(heap)
-    ends = [blk.head for blk in keep_blocks]
     members: List[Item] = []
-    range_max = None
     while heap and len(members) < k + 1:
-        key, seq, idx, pos = heapq.heappop(heap)
-        range_max = (key, seq)
-        ends[idx] = pos + 1
-        items = keep_blocks[idx].items
+        _, _, idx, pos = heapq.heappop(heap)
+        items = blocks[idx].items
         members.append(items[pos])
         n = len(items)
         p = pos + 1
@@ -84,8 +63,7 @@ def _scan_window(blocks, k):
         if p < n:
             nxt = items[p]
             heapq.heappush(heap, (nxt.key, nxt.seq, idx, p))
-    spans = tuple(end - blk.head for blk, end in zip(keep_blocks, ends))
-    return tuple(keep_blocks), spans, range_max, sum(spans), tuple(members)
+    return tuple(blocks), tuple(members)
 
 
 class Slsm:
@@ -97,7 +75,7 @@ class Slsm:
         self.k = k
         self.claims = claims if claims is not None else ClaimTable()
         self._lock = threading.Lock()
-        self._state = _State((), (), None, 0, (), 0)
+        self._state = _State((), (), 0)
 
     @property
     def version(self) -> int:
@@ -130,25 +108,11 @@ class Slsm:
     def _inserted(self, s: _State, nb: Block) -> _State:
         blocks = list(s.blocks)
         place(blocks, nb)
-
-        batch_min = (nb.items[0].key, nb.items[0].seq)
-        if s.range_max is None or s.total_span == 0 or batch_min < s.range_max:
+        if not s.members or nb.items[0] < s.members[-1]:
             return _State(*_scan_window(blocks, self.k), s.version + 1)
-
-        # remap: untouched blocks keep their spans; a new block starts at
-        # head 0 and its window share is exactly its items <= range_max.
-        # The member items themselves are unaffected -- they keep their
-        # identity through any block merges -- so they carry over as-is.
-        span_by_block = {id(b): sp for b, sp in zip(s.blocks, s.spans)}
-        spans = []
-        for b in blocks:
-            sp = span_by_block.get(id(b))
-            if sp is None:
-                sp = bisect_right(b.items, s.range_max, key=lambda it: (it.key, it.seq))
-            spans.append(sp)
-        spans_t = tuple(spans)
-        return _State(tuple(blocks), spans_t, s.range_max, sum(spans_t),
-                      s.members, s.version)
+        # nothing in the batch sorts below the window, which therefore
+        # keeps its members; they keep their identity through any merges
+        return _State(tuple(blocks), s.members, s.version)
 
     # ------------------------------------------------------------------
     # deletion
@@ -189,16 +153,7 @@ class Slsm:
     # introspection (tests, draining)
 
     def window_items(self) -> List[Item]:
-        s = self._state
-        out = []
-        for blk, span in zip(s.blocks, s.spans):
-            for it in blk.items[blk.head:blk.head + span]:
-                if not it.taken:
-                    out.append(it)
-        return out
-
-    def window_spans(self) -> List[int]:
-        return list(self._state.spans)
+        return [it for it in self._state.members if not it.taken]
 
     def live_items(self) -> List[Item]:
         s = self._state

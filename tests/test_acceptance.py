@@ -187,7 +187,7 @@ def brute_ranks(records):
         if r.kind == INSERT:
             live.append((r.key, r.seq))
         else:
-            ranks.append(sum(1 for k, _ in live if k <= r.key))
+            ranks.append(sum(1 for ks in live if ks <= (r.key, r.seq)))
             live.remove((r.key, r.seq))
     return ranks
 

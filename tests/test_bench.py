@@ -206,6 +206,15 @@ def test_quality_rep_globallock_ranks_are_exactly_one():
     assert r.violations == 0
 
 
+@pytest.mark.parametrize("queue", ["globallock", "seqlsm"])
+def test_quality_rep_strict_queues_rank_one_on_duplicate_keys(queue):
+    r = run_quality_rep(cfg(queue=queue, keys="uniform8", mode="quality",
+                            prefill=300, duration_s=0.1), 0)
+    assert r.deletes > 0
+    assert r.rank_max == 1
+    assert r.violations == 0
+
+
 def test_quality_rep_klsm_respects_bound():
     c = cfg(queue="klsm", k=16, threads=2, mode="quality", prefill=500,
             duration_s=0.15)

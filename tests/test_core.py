@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqbench.core import (Block, ClaimTable, Item, Lsm, SEQ_THREAD_SHIFT,
-                          fit_capacity, make_seq, merge_blocks,
+                          compact, fit_capacity, make_seq, merge_blocks,
                           merge_sorted_live)
 
 
@@ -285,6 +285,46 @@ def test_shrink_merges_on_capacity_collision():
     lsm.check()
     assert lsm.size == 8
     assert [b.capacity for b in lsm.blocks] == [8]
+
+
+# ----------------------------------------------------------------------
+# dead-prefix compaction
+
+def killed_heads_lsm():
+    """Blocks 8 (keys 0..7), 4 (8..11), 2 (12, 13); remote claims take
+    keys 0..3 and 12..13, so the 8-block drops to half full and the
+    2-block empties."""
+    lsm = Lsm()
+    for i in range(14):
+        lsm.insert(Item(i, make_seq(0, i)))
+    table = ClaimTable()
+    for it in lsm.live_items():
+        if it.key < 4 or it.key >= 12:
+            assert table.try_claim(it)
+    return lsm
+
+
+def test_compact_leaves_its_input_untouched():
+    lsm = killed_heads_lsm()
+    before = [(b, b.capacity, b.head, list(b.items)) for b in lsm.blocks]
+    compact(lsm.blocks)
+    assert [(b, b.capacity, b.head, list(b.items)) for b in lsm.blocks] == before
+
+
+def test_compact_refits_and_merges_killed_blocks():
+    lsm = killed_heads_lsm()
+    lsm.blocks = compact(lsm.blocks)
+    lsm.check()
+    # the re-fitted 4-block merged with the old one; the 2-block is gone
+    assert [b.capacity for b in lsm.blocks] == [8]
+    assert sorted(it.key for it in lsm.live_items()) == list(range(4, 12))
+
+
+def test_peek_min_after_killed_heads_is_live_minimum():
+    lsm = killed_heads_lsm()
+    _, it = lsm.peek_min()
+    assert it.key == 4 and not it.taken
+    lsm.check()
 
 
 # ----------------------------------------------------------------------

@@ -17,14 +17,15 @@ def dele(key, seq, ts, thread=0):
 
 
 def brute_ranks(records):
-    """Quadratic reference: rank = live keys <= deleted key, self included."""
+    """Quadratic reference: rank = live (key, seq) <= the deleted one,
+    self included."""
     live = []
     ranks = []
     for r in records:
         if r.kind == INSERT:
             live.append((r.key, r.seq))
         else:
-            ranks.append(sum(1 for k, _ in live if k <= r.key))
+            ranks.append(sum(1 for ks in live if ks <= (r.key, r.seq)))
             live.remove((r.key, r.seq))
     return ranks
 
@@ -61,9 +62,14 @@ def test_rank_of_true_minimum_is_1():
     assert replay_ranks(log) == [1]
 
 
-def test_duplicate_keys_are_charged_pessimistically():
+def test_live_duplicate_with_smaller_seq_counts():
     log = [ins(7, 0, 1), ins(7, 1, 2), dele(7, 1, 3)]
     assert replay_ranks(log) == [2]
+
+
+def test_live_duplicate_with_larger_seq_does_not_count():
+    log = [ins(7, 0, 1), ins(7, 1, 2), dele(7, 0, 3)]
+    assert replay_ranks(log) == [1]
 
 
 def test_interleaved_sequence():
@@ -104,6 +110,8 @@ def test_double_delete_is_corrupt():
 def test_duplicate_insert_seq_is_corrupt():
     with pytest.raises(CorruptLogError):
         replay_ranks([ins(5, 0, 1), ins(6, 0, 2)])
+    with pytest.raises(CorruptLogError):   # also after the first one died
+        replay_ranks([ins(5, 0, 1), dele(5, 0, 2), ins(5, 0, 3)])
 
 
 def test_regressing_timestamps_are_corrupt():

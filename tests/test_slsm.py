@@ -6,6 +6,7 @@ import threading
 from collections import Counter
 
 from pqbench.core import Block, Item, make_seq
+from pqbench.klsm import Klsm
 from pqbench.slsm import Slsm, _scan_window
 
 
@@ -57,28 +58,42 @@ def test_window_covers_all_when_small():
 
 
 def test_scan_window_hand_example():
-    """Blocks [1,4,9] and [2,3,50] with k=3 give spans of 2 and 2."""
+    """Blocks [1,4,9] and [2,3,50] with k=3 give the window 1..4; their
+    equal capacities merge on the way."""
     a = Block(4, [Item(k, make_seq(0, i)) for i, k in enumerate([1, 4, 9])])
     b = Block(4, [Item(k, make_seq(1, i)) for i, k in enumerate([2, 3, 50])])
-    blocks, spans, range_max, total, members = _scan_window((a, b), 3)
-    assert spans == (2, 2)
-    assert total == 4
-    covered = [blk.items[blk.head + i].key
-               for blk, sp in zip(blocks, spans) for i in range(sp)]
-    assert sorted(covered) == [1, 2, 3, 4]
-    assert range_max[0] == 4
+    blocks, members = _scan_window((a, b), 3)
     assert [it.key for it in members] == [1, 2, 3, 4]   # ascending scan order
+    assert [blk.capacity for blk in blocks] == [8]
+    assert [it.key for it in blocks[0].items] == [1, 2, 3, 4, 9, 50]
 
 
 def test_scan_window_moves_heads_on_new_blocks():
     items = [Item(k, make_seq(0, i)) for i, k in enumerate([1, 2, 3, 4])]
     a = Block(4, items)
     items[0].taken = items[1].taken = True
-    blocks, spans, _, total, members = _scan_window((a,), 1)
-    assert a.head == 0   # a published block is never mutated
+    blocks, members = _scan_window((a,), 1)
+    assert a.head == 0 and a.capacity == 4   # a published block is never mutated
     assert blocks[0] is not a and blocks[0].head == 2
-    assert spans == (2,) and total == 2
+    assert blocks[0].capacity == 2           # re-fitted to its 2 live items
     assert [it.key for it in members] == [3, 4]
+
+
+def test_shared_blocks_stay_more_than_half_full():
+    """Window scans that skip dead prefixes re-fit the blocks they shorten."""
+    q = Klsm(16, 1)
+    h = q.register(random.Random(5))
+    rng = random.Random(6)
+    for _ in range(5_000):
+        h.insert(rng.getrandbits(32))
+    for op in range(20_000):
+        if rng.random() < 0.5:
+            h.insert(rng.getrandbits(32))
+        else:
+            h.delete_min()
+        if op % 500 == 0:
+            for blk in q.slsm._state.blocks:
+                blk.check()
 
 
 def test_version_stable_when_batch_sorts_above_window():
