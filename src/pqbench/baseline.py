@@ -24,7 +24,9 @@ class SeqLsmQueue:
         return self
 
     def insert(self, key: int, value=None) -> Item:
-        it = Item(key, make_seq(0, self._next_seq), value)
+        if value is not None:
+            raise TypeError("items carry no payload; value must be None")
+        it = Item((key, make_seq(0, self._next_seq)))
         self._next_seq += 1
         self.lsm.insert(it)
         return it
@@ -49,8 +51,10 @@ class LockedHeap:
         return LockedHeapHandle(self)
 
     def insert(self, key: int, value=None) -> Item:
+        if value is not None:
+            raise TypeError("items carry no payload; value must be None")
         with self._lock:
-            it = Item(key, make_seq(0, self._next_seq), value)
+            it = Item((key, make_seq(0, self._next_seq)))
             self._next_seq += 1
             heapq.heappush(self._heap, it)
         return it

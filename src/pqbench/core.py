@@ -1,15 +1,17 @@
 """Core item model and the sequential merge-structured priority queue.
 
-Items are (key, value) pairs ordered by (key, seq), where seq is a unique
-insertion sequence number that makes the order total and replay
-deterministic.  The queue keeps its items in sorted blocks whose
-power-of-two capacities are pairwise distinct; inserting adds a singleton
-block and merges equal capacities binary-counter style, deleting pops the
-smallest block head.  Both operations are O(log n) amortised.
+Items are ordered as the tuple (key, seq), where seq is a unique insertion
+sequence number that makes the order total and replay deterministic.  The
+queue keeps its items in sorted blocks whose power-of-two capacities are
+pairwise distinct; inserting adds a singleton block and merges equal
+capacities binary-counter style, deleting pops the smallest block head.
+Both operations are O(log n) amortised.
 """
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
+from operator import is_, lt
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 SEQ_THREAD_SHIFT = 48
@@ -22,31 +24,39 @@ def make_seq(thread_id: int, counter: int) -> int:
     return (thread_id << SEQ_THREAD_SHIFT) | counter
 
 
-class Item:
-    """A prioritised payload.  Smaller (key, seq) means higher priority.
+# namedtuple's field accessors are C descriptors that read one tuple slot
+_Fields = namedtuple("_Fields", "key seq")
+
+
+class Item(tuple):
+    """A prioritised entry: the tuple ``(key, seq)``, built as
+    ``Item((key, seq))``.  Smaller means higher priority.
+
+    Being a tuple, an item compares, sorts and heap-orders in C.  Equality
+    is by value, which within one queue is identity because seq is unique.
 
     ``taken`` is a one-shot consumption flag: once an item is handed to a
     caller it is dead everywhere, even if block snapshots still reference
-    it.  The flag is flipped only through :class:`ClaimTable`.
+    it.  The flag is the item's class, so an item carries no instance
+    dict: :class:`ClaimTable` flips it by moving the item to
+    :class:`TakenItem`, the only way it changes.
     """
 
-    __slots__ = ("key", "seq", "value", "taken")
-
-    def __init__(self, key: int, seq: int, value: int = 0):
-        self.key = key
-        self.seq = seq
-        self.value = value
-        self.taken = False
-
-    def __lt__(self, other: "Item") -> bool:
-        return (self.key, self.seq) < (other.key, other.seq)
-
-    def sort_key(self) -> Tuple[int, int]:
-        return (self.key, self.seq)
+    __slots__ = ()
+    key = _Fields.key
+    seq = _Fields.seq
+    taken = False
 
     def __repr__(self) -> str:
         flag = "#" if self.taken else ""
         return f"Item({self.key}, seq={self.seq}{flag})"
+
+
+class TakenItem(Item):
+    """An :class:`Item` that has been handed out."""
+
+    __slots__ = ()
+    taken = True
 
 
 class ClaimTable:
@@ -70,7 +80,7 @@ class ClaimTable:
         with self._locks[item.seq & self._mask]:
             if item.taken:
                 return False
-            item.taken = True
+            item.__class__ = TakenItem
             return True
 
 
@@ -84,36 +94,19 @@ def fit_capacity(occupancy: int) -> int:
 def merge_sorted_live(
     items_a: List[Item], start_a: int, items_b: List[Item], start_b: int
 ) -> List[Item]:
-    """Two-way merge of the live tails of two sorted item lists.
+    """Merge of the live tails of two sorted item lists, each item once.
 
-    Consumed (taken) items are dropped.  Inputs are never mutated, so the
-    result can safely replace blocks that snapshots still reference.
+    Timsort merges the two sorted runs in C, then consumed (taken) items
+    are dropped.  An item that reached both inputs (a spied copy spilled
+    next to its original) sorts next to itself, and only one copy is
+    kept.  Inputs are never mutated, so the result can safely replace
+    blocks that snapshots still reference.
     """
-    out: List[Item] = []
-    i, j = start_a, start_b
-    na, nb = len(items_a), len(items_b)
-    while i < na and j < nb:
-        a, b = items_a[i], items_b[j]
-        if a.taken:
-            i += 1
-            continue
-        if b.taken:
-            j += 1
-            continue
-        if (a.key, a.seq) < (b.key, b.seq):
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-    for k in range(i, na):
-        it = items_a[k]
-        if not it.taken:
-            out.append(it)
-    for k in range(j, nb):
-        it = items_b[k]
-        if not it.taken:
-            out.append(it)
+    out = items_a[start_a:] + items_b[start_b:]
+    out.sort()
+    out = [it for it in out if not it.taken]
+    if any(map(is_, out, out[1:])):
+        out = list(dict.fromkeys(out))
     return out
 
 
@@ -148,9 +141,8 @@ class Block:
         if not cap // 2 < occ <= cap:
             raise ValueError(f"occupancy {occ} outside ({cap // 2}, {cap}]")
         items = self.items
-        for i in range(1, len(items)):
-            if (items[i - 1].key, items[i - 1].seq) >= (items[i].key, items[i].seq):
-                raise ValueError("items not strictly sorted by (key, seq)")
+        if not all(map(lt, items, items[1:])):
+            raise ValueError("items not strictly sorted by (key, seq)")
 
     def __repr__(self) -> str:
         return f"Block(cap={self.capacity}, occ={self.occupancy})"
@@ -246,7 +238,10 @@ class Lsm:
 
     @property
     def size(self) -> int:
-        return sum(len(b.items) - b.head for b in self.blocks)
+        n = 0
+        for b in self.blocks:
+            n += len(b.items) - b.head
+        return n
 
     def __len__(self) -> int:
         return self.size
@@ -280,7 +275,7 @@ class Lsm:
         best: Optional[Tuple[Block, Item]] = None
         for blk in self.blocks:
             it = blk.items[blk.head]
-            if best is None or (it.key, it.seq) < (best[1].key, best[1].seq):
+            if best is None or it < best[1]:
                 best = (blk, it)
         return best
 

@@ -83,7 +83,9 @@ class KlsmHandle:
         return self.dlsm.owner
 
     def insert(self, key: int, value=None) -> Item:
-        it = Item(key, make_seq(self.dlsm.owner, self._counter), value)
+        if value is not None:
+            raise TypeError("items carry no payload; value must be None")
+        it = Item((key, make_seq(self.dlsm.owner, self._counter)))
         self._counter += 1
         self.dlsm.insert(it)
         local = self.dlsm.local
@@ -101,9 +103,7 @@ class KlsmHandle:
             cand = q.slsm.peek_candidate(self.rng)
             if pair is None and cand is None:
                 return None
-            use_local = cand is None or (
-                pair is not None and pair[1].sort_key() <= cand.sort_key()
-            )
+            use_local = cand is None or (pair is not None and pair[1] <= cand)
             it = pair[1] if use_local else cand
             if q.claims.try_claim(it):
                 if use_local:

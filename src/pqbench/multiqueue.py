@@ -156,7 +156,9 @@ class MqHandle:
         return self.owner
 
     def insert(self, key: int, value=None) -> Item:
-        it = Item(key, make_seq(self.owner, self._counter), value)
+        if value is not None:
+            raise TypeError("items carry no payload; value must be None")
+        it = Item((key, make_seq(self.owner, self._counter)))
         self._counter += 1
         self.q.insert_item(it, self.rng)
         return it

@@ -48,21 +48,19 @@ def _scan_window(blocks, k):
     blocks = compact(blocks)
     heap = []
     for idx, blk in enumerate(blocks):
-        it = blk.items[blk.head]
-        heap.append((it.key, it.seq, idx, blk.head))
+        heap.append((blk.items[blk.head], idx, blk.head))
     heapq.heapify(heap)
     members: List[Item] = []
     while heap and len(members) < k + 1:
-        _, _, idx, pos = heapq.heappop(heap)
+        it, idx, pos = heapq.heappop(heap)
         items = blocks[idx].items
-        members.append(items[pos])
+        members.append(it)
         n = len(items)
         p = pos + 1
         while p < n and items[p].taken:
             p += 1
         if p < n:
-            nxt = items[p]
-            heapq.heappush(heap, (nxt.key, nxt.seq, idx, p))
+            heapq.heappush(heap, (items[p], idx, p))
     return tuple(blocks), tuple(members)
 
 

@@ -4,6 +4,8 @@ import random
 import threading
 from collections import Counter
 
+from hypothesis import given, strategies as st
+
 from pqbench.baseline import LockedHeap, SeqLsmQueue
 
 
@@ -28,6 +30,27 @@ def test_locked_heap_tie_break_is_insertion_order():
     second = q.insert(5)
     assert q.delete_min() is first
     assert q.delete_min() is second
+
+
+@given(st.lists(st.one_of(st.integers(0, 3), st.none()), max_size=200))
+def test_locked_heap_drains_in_key_seq_order(ops):
+    """Keys with many ties, interleaved with deletions (None)."""
+    q = LockedHeap()
+    live = set()
+    for key in ops:
+        if key is None:
+            it = q.delete_min()
+            assert (it is None) == (not live)
+            if it is not None:
+                assert (it.key, it.seq) == min(live)
+                live.remove((it.key, it.seq))
+        else:
+            it = q.insert(key)
+            live.add((it.key, it.seq))
+    out = []
+    while (it := q.delete_min()) is not None:
+        out.append((it.key, it.seq))
+    assert out == sorted(live)
 
 
 def test_locked_heap_concurrent_conservation():

@@ -8,9 +8,10 @@ import pytest
 
 from pqbench import bench
 from pqbench.baseline import LockedHeap, SeqLsmQueue
-from pqbench.bench import (BenchConfig, ConfigError, LogOverflowError,
-                           RepResult, SelfCheckError, WorkerError, _build_run,
-                           _prefill, _Ticker, aggregate, make_queue, mean_ci95,
+from pqbench.bench import (QUEUE_KINDS, BenchConfig, ConfigError,
+                           LogOverflowError, RepResult, SelfCheckError,
+                           WorkerError, _build_run, _prefill, _Ticker,
+                           aggregate, make_queue, mean_ci95,
                            pinning_supported, run_benchmark, run_conservation,
                            run_quality_rep, run_throughput_rep)
 from pqbench.core import Item, make_seq
@@ -74,6 +75,14 @@ def test_make_queue_kinds():
     assert isinstance(q, MultiQueue) and q.n == 32
     assert isinstance(make_queue(cfg(queue="globallock")), LockedHeap)
     assert isinstance(make_queue(cfg(queue="seqlsm")), SeqLsmQueue)
+
+
+@pytest.mark.parametrize("queue", QUEUE_KINDS)
+def test_insert_takes_no_payload(queue):
+    h = make_queue(cfg(queue=queue)).register()
+    assert h.insert(5, None).key == 5
+    with pytest.raises(TypeError):
+        h.insert(5, "payload")
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +263,7 @@ class _StubQueue:
         if self.fail:
             raise KeyError("stub queue failure")
         self.seq += 1
-        return Item(key, make_seq(0, self.seq), value)
+        return Item((key, make_seq(0, self.seq)))
 
     def delete_min(self):
         if self.fail:

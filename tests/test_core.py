@@ -6,13 +6,22 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
+import pqbench.core as core
 from pqbench.core import (Block, ClaimTable, Item, Lsm, SEQ_THREAD_SHIFT,
-                          compact, fit_capacity, make_seq, merge_blocks,
-                          merge_sorted_live)
+                          compact, fit_capacity, fitted, make_seq,
+                          merge_blocks, merge_sorted_live)
+from pqbench.slsm import Slsm
 
 
 def items(keys, start_seq=0, tid=0):
-    return [Item(k, make_seq(tid, start_seq + i)) for i, k in enumerate(keys)]
+    return [Item((k, make_seq(tid, start_seq + i))) for i, k in enumerate(keys)]
+
+
+def take(*its):
+    """Consume items the way a claimant elsewhere would."""
+    claims = ClaimTable()
+    for it in its:
+        assert claims.try_claim(it)
 
 
 def keys_of(block_or_list):
@@ -70,7 +79,7 @@ def test_merge_sorted_live_example():
 def test_merge_sorted_live_drops_taken():
     a = items([1, 4, 6])
     b = items([2, 3], start_seq=10)
-    a[1].taken = True
+    take(a[1])
     merged = merge_sorted_live(a, 0, b, 0)
     assert [it.key for it in merged] == [1, 2, 3, 6]
 
@@ -101,8 +110,8 @@ def test_merge_blocks_doubles_capacity():
 
 
 def test_merge_blocks_tie_breaks_by_seq():
-    young = Item(3, make_seq(0, 0))
-    old = Item(3, make_seq(0, 5))
+    young = Item((3, make_seq(0, 0)))
+    old = Item((3, make_seq(0, 5)))
     m = merge_blocks(Block(1, [old]), Block(1, [young]))
     assert m.capacity == 2
     assert [it.seq for it in m.items] == [young.seq, old.seq]
@@ -119,10 +128,7 @@ def test_merge_blocks_occupancies_3_and_4():
 def test_merge_blocks_shrinks_when_claims_depleted():
     a = Block(4, items([1, 5, 9]))
     b = Block(4, items([2, 4, 6, 8], start_seq=10))
-    for it in a.items:
-        it.taken = True
-    for it in b.items[:2]:
-        it.taken = True
+    take(*a.items, *b.items[:2])
     m = merge_blocks(a, b)
     assert keys_of(m) == [6, 8]
     assert m.capacity == 2
@@ -131,9 +137,105 @@ def test_merge_blocks_shrinks_when_claims_depleted():
 def test_merge_blocks_all_dead_gives_none():
     a = Block(1, items([1]))
     b = Block(1, items([2], start_seq=1))
-    a.items[0].taken = True
-    b.items[0].taken = True
+    take(a.items[0], b.items[0])
     assert merge_blocks(a, b) is None
+
+
+def test_merge_keeps_one_copy_of_an_item_in_both_blocks():
+    """A spied copy of a block spilled next to its original."""
+    blk = Block(4, items([1, 2, 2, 5]))
+    m = merge_blocks(blk, fitted(blk.items))
+    assert [id(it) for it in m.items] == [id(it) for it in blk.items]
+    m.check()
+    # the copy's head moved on and one shared item was taken since
+    take(blk.items[3])
+    m = merge_blocks(blk, fitted(blk.items, 1))
+    assert [id(it) for it in m.items] == [id(it) for it in blk.items[:3]]
+    m.check()
+
+
+def test_merges_go_through_the_module_global(monkeypatch):
+    """Tracers count merged items by patching ``core.merge_sorted_live``;
+    every Lsm and Slsm merge must look it up there."""
+    merged = []
+    real = core.merge_sorted_live
+
+    def counting(*args):
+        out = real(*args)
+        merged.append(len(out))
+        return out
+
+    monkeypatch.setattr(core, "merge_sorted_live", counting)
+    lsm = Lsm()
+    for it in items([3, 1]):
+        lsm.insert(it)
+    assert merged == [2]
+    merged.clear()
+    s = Slsm(4)
+    s.insert_batch(Block(2, items([1, 4])))
+    s.insert_batch(Block(2, items([2, 3], start_seq=10)))
+    assert merged == [4]
+
+
+# ----------------------------------------------------------------------
+# item order (oracle)
+
+# (key, seq, taken) with few distinct keys, so ties on key are common
+entries = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1 << 20),
+                             st.booleans()),
+                   unique_by=lambda e: e[1], max_size=40)
+
+
+def made(es, parity=0):
+    # distinct parities keep two lists' seqs apart but interleaved
+    its = [Item((k, 2 * s + parity)) for k, s, _ in es]
+    take(*(it for it, (_, _, dead) in zip(its, es) if dead))
+    return its
+
+
+def two_way_merge(items_a, start_a, items_b, start_b):
+    """The Python merge loop merge_sorted_live replaced, as the oracle."""
+    out = []
+    i, j = start_a, start_b
+    na, nb = len(items_a), len(items_b)
+    while i < na and j < nb:
+        a, b = items_a[i], items_b[j]
+        if a.taken:
+            i += 1
+            continue
+        if b.taken:
+            j += 1
+            continue
+        if (a.key, a.seq) < (b.key, b.seq):
+            out.append(a)
+            i += 1
+        else:
+            out.append(b)
+            j += 1
+    out.extend(it for it in items_a[i:] if not it.taken)
+    out.extend(it for it in items_b[j:] if not it.taken)
+    return out
+
+
+@given(entries)
+def test_items_order_as_key_seq_tuples(es):
+    its = made(es)
+    by_key_seq = sorted(its, key=lambda it: (it.key, it.seq))
+    assert [id(it) for it in sorted(its)] == [id(it) for it in by_key_seq]
+    if its:
+        assert min(its) is by_key_seq[0]
+    for a, b in zip(by_key_seq, by_key_seq[1:]):
+        assert a < b and not b < a and a != b
+
+
+@given(entries, entries, st.integers(0, 40), st.integers(0, 40))
+def test_merge_sorted_live_matches_two_way_merge(ea, eb, start_a, start_b):
+    a = sorted(made(ea))
+    b = sorted(made(eb, parity=1))
+    start_a, start_b = min(start_a, len(a)), min(start_b, len(b))
+    got = merge_sorted_live(a, start_a, b, start_b)
+    want = two_way_merge(a, start_a, b, start_b)
+    assert [id(it) for it in got] == [id(it) for it in want]
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +257,7 @@ def test_block_check_rejects_underfull():
 
 
 def test_block_check_rejects_unsorted():
-    bad = [Item(5, make_seq(0, 0)), Item(1, make_seq(0, 1))]
+    bad = [Item((5, make_seq(0, 0))), Item((1, make_seq(0, 1)))]
     with pytest.raises(ValueError):
         Block(2, bad).check()
 
@@ -165,21 +267,21 @@ def test_block_check_rejects_unsorted():
 
 def test_insert_into_empty_makes_singleton_block():
     lsm = Lsm()
-    lsm.insert(Item(42, make_seq(0, 0)))
+    lsm.insert(Item((42, make_seq(0, 0))))
     assert [b.capacity for b in lsm.blocks] == [1]
 
 
 def test_three_inserts_make_capacities_2_and_1():
     lsm = Lsm()
     for i, k in enumerate([5, 1, 9]):
-        lsm.insert(Item(k, make_seq(0, i)))
+        lsm.insert(Item((k, make_seq(0, i))))
     assert sorted(b.capacity for b in lsm.blocks) == [1, 2]
 
 
 def test_fourth_insert_collapses_to_single_block():
     lsm = Lsm()
     for i in range(4):
-        lsm.insert(Item(i, make_seq(0, i)))
+        lsm.insert(Item((i, make_seq(0, i))))
     assert [b.capacity for b in lsm.blocks] == [4]
 
 
@@ -187,7 +289,7 @@ def test_fourth_insert_collapses_to_single_block():
 def test_capacities_follow_binary_decomposition(n):
     lsm = Lsm()
     for i in range(n):
-        lsm.insert(Item(i * 7 % 31, make_seq(0, i)))
+        lsm.insert(Item((i * 7 % 31, make_seq(0, i))))
     caps = sorted((b.capacity for b in lsm.blocks), reverse=True)
     binary = [1 << b for b in range(n.bit_length()) if n >> b & 1]
     assert caps == sorted(binary, reverse=True)
@@ -197,7 +299,7 @@ def test_capacities_follow_binary_decomposition(n):
 def test_delete_min_returns_global_minimum():
     lsm = Lsm()
     for i, k in enumerate([5, 2, 9]):
-        lsm.insert(Item(k, make_seq(0, i)))
+        lsm.insert(Item((k, make_seq(0, i))))
     assert lsm.delete_min().key == 2
 
 
@@ -208,7 +310,7 @@ def test_delete_min_empty_returns_none():
 def test_peek_then_delete_agree():
     lsm = Lsm()
     for i, k in enumerate([5, 2, 9]):
-        lsm.insert(Item(k, make_seq(0, i)))
+        lsm.insert(Item((k, make_seq(0, i))))
     blk, it = lsm.peek_min()
     assert it.key == 2
     assert lsm.delete_min() is it
@@ -217,7 +319,7 @@ def test_peek_then_delete_agree():
 def test_size_counts_live_items():
     lsm = Lsm()
     for i in range(10):
-        lsm.insert(Item(i, make_seq(0, i)))
+        lsm.insert(Item((i, make_seq(0, i))))
     assert lsm.size == len(lsm) == 10
     lsm.delete_min()
     assert lsm.size == 9
@@ -232,7 +334,7 @@ def test_thousand_inserts_then_deletes_match_heap_oracle():
     oracle = []
     for i in range(1000):
         key = rng.getrandbits(16)
-        lsm.insert(Item(key, make_seq(0, i)))
+        lsm.insert(Item((key, make_seq(0, i))))
         heapq.heappush(oracle, (key, make_seq(0, i)))
     out = []
     while True:
@@ -255,7 +357,7 @@ def test_mixed_ops_match_heap_oracle_with_invariants():
             assert (got.key, got.seq) == want
         else:
             key = rng.getrandbits(12)
-            lsm.insert(Item(key, make_seq(0, i)))
+            lsm.insert(Item((key, make_seq(0, i))))
             heapq.heappush(oracle, (key, make_seq(0, i)))
         if i % 64 == 0:
             lsm.check()
@@ -266,7 +368,7 @@ def test_shrink_rule_halves_capacity():
     """Consuming down to half occupancy halves the block's capacity."""
     lsm = Lsm()
     for i in range(8):
-        lsm.insert(Item(i, make_seq(0, i)))
+        lsm.insert(Item((i, make_seq(0, i))))
     assert [b.capacity for b in lsm.blocks] == [8]
     for _ in range(4):
         lsm.delete_min()
@@ -278,7 +380,7 @@ def test_shrink_merges_on_capacity_collision():
     """A shrinking block merges with an existing block of the target size."""
     lsm = Lsm()
     for i in range(12):   # capacities 8 + 4
-        lsm.insert(Item(i, make_seq(0, i)))
+        lsm.insert(Item((i, make_seq(0, i))))
     assert sorted(b.capacity for b in lsm.blocks) == [4, 8]
     for _ in range(4):    # the cap-8 block holds keys 0..7, so its head dies
         lsm.delete_min()
@@ -296,7 +398,7 @@ def killed_heads_lsm():
     2-block empties."""
     lsm = Lsm()
     for i in range(14):
-        lsm.insert(Item(i, make_seq(0, i)))
+        lsm.insert(Item((i, make_seq(0, i))))
     table = ClaimTable()
     for it in lsm.live_items():
         if it.key < 4 or it.key >= 12:
@@ -332,7 +434,7 @@ def test_peek_min_after_killed_heads_is_live_minimum():
 
 def test_claim_is_one_shot():
     table = ClaimTable()
-    it = Item(1, make_seq(0, 0))
+    it = Item((1, make_seq(0, 0)))
     assert table.try_claim(it)
     assert not table.try_claim(it)
     assert it.taken

@@ -11,7 +11,7 @@ from pqbench.dlsm import DlsmShared
 
 def fill(handle, keys):
     for i, k in enumerate(keys):
-        handle.insert(Item(k, make_seq(handle.owner, i)))
+        handle.insert(Item((k, make_seq(handle.owner, i))))
 
 
 def drain(handle):
@@ -42,7 +42,7 @@ def test_single_thread_matches_heap_oracle():
             assert (got.key, got.seq) == heapq.heappop(oracle)
         else:
             key = rng.getrandbits(12)
-            h.insert(Item(key, make_seq(0, i)))
+            h.insert(Item((key, make_seq(0, i))))
             heapq.heappush(oracle, (key, make_seq(0, i)))
     got = drain(h)
     assert [(it.key, it.seq) for it in got] == sorted(oracle)
@@ -105,7 +105,7 @@ def test_published_snapshots_satisfy_block_invariants():
     h0, _ = shared.register(), shared.register()
     rng = random.Random(5)
     for i in range(500):
-        h0.insert(Item(rng.getrandbits(10), make_seq(0, i)))
+        h0.insert(Item((rng.getrandbits(10), make_seq(0, i))))
         if rng.random() < 0.3:
             h0.delete_min()
     for blk in shared.slots[0]:
@@ -148,7 +148,7 @@ def test_concurrent_hammer_conserves_items():
         inserted = 0
         while inserted < per_thread:
             if rng.random() < 0.6:
-                h.insert(Item(rng.getrandbits(16), make_seq(idx, inserted)))
+                h.insert(Item((rng.getrandbits(16), make_seq(idx, inserted))))
                 inserted += 1
             else:
                 it = h.delete_min()
@@ -176,5 +176,5 @@ def test_spy_memoizes_dead_snapshots_until_republish():
     assert a.delete_min() is None
     assert 1 in a._dead_snaps          # b's snapshot proven fully consumed
     assert a.delete_min() is None      # served by the memo, not a rescan
-    b.insert(Item(3, make_seq(1, 2)))  # republish replaces the snapshot
+    b.insert(Item((3, make_seq(1, 2))))  # republish replaces the snapshot
     assert a.delete_min().key == 3

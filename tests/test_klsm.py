@@ -1,6 +1,7 @@
 """Composed queue: spilling, two-way deletes, rank bound, conservation."""
 import heapq
 import random
+import sys
 import threading
 from collections import Counter
 
@@ -64,7 +65,7 @@ def test_delete_takes_smaller_of_both_parts():
     q = Klsm(k=100, threads=1)       # large k: nothing spills, window is tiny
     h = q.register(random.Random(0))
     h.insert(7)
-    q.slsm.insert_batch(Block(1, [Item(3, make_seq(7, 0))]))
+    q.slsm.insert_batch(Block(1, [Item((3, make_seq(7, 0)))]))
     assert h.delete_min().key == 3   # shared min 3 beats local min 7
     assert h.delete_min().key == 7
     assert h.delete_min() is None
@@ -166,6 +167,37 @@ def test_concurrent_hammer_conserves_and_progresses():
     seqs = [it.seq for per in got for it in per]
     assert len(seqs) == nthreads * per_thread
     assert len(set(seqs)) == len(seqs)
+
+
+def test_spied_blocks_spilled_again_keep_shared_blocks_valid():
+    """A thread spills blocks it spied from another, whose owner spills
+    them too; no shared block may then hold one item twice."""
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for run in range(20):
+            q = Klsm(k=4, threads=2)
+
+            def worker(idx):
+                h = q.register(random.Random(run * 10 + idx))
+                rng = random.Random(run * 10 + idx + 100)
+                for _ in range(3000):
+                    if rng.random() < 0.5:
+                        h.insert(rng.getrandbits(8))
+                    else:
+                        h.delete_min()
+
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            for blk in q.slsm._state.blocks:
+                blk.check()
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_two_registrations_share_claim_table():

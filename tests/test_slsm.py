@@ -5,13 +5,13 @@ import random
 import threading
 from collections import Counter
 
-from pqbench.core import Block, Item, make_seq
+from pqbench.core import Block, ClaimTable, Item, make_seq
 from pqbench.klsm import Klsm
 from pqbench.slsm import Slsm, _scan_window
 
 
 def batch(keys, tid=0, start_seq=0, capacity=None):
-    its = sorted((Item(k, make_seq(tid, start_seq + i)) for i, k in enumerate(keys)),
+    its = sorted((Item((k, make_seq(tid, start_seq + i))) for i, k in enumerate(keys)),
                  key=lambda it: (it.key, it.seq))
     cap = capacity
     if cap is None:
@@ -60,8 +60,8 @@ def test_window_covers_all_when_small():
 def test_scan_window_hand_example():
     """Blocks [1,4,9] and [2,3,50] with k=3 give the window 1..4; their
     equal capacities merge on the way."""
-    a = Block(4, [Item(k, make_seq(0, i)) for i, k in enumerate([1, 4, 9])])
-    b = Block(4, [Item(k, make_seq(1, i)) for i, k in enumerate([2, 3, 50])])
+    a = Block(4, [Item((k, make_seq(0, i))) for i, k in enumerate([1, 4, 9])])
+    b = Block(4, [Item((k, make_seq(1, i))) for i, k in enumerate([2, 3, 50])])
     blocks, members = _scan_window((a, b), 3)
     assert [it.key for it in members] == [1, 2, 3, 4]   # ascending scan order
     assert [blk.capacity for blk in blocks] == [8]
@@ -69,9 +69,10 @@ def test_scan_window_hand_example():
 
 
 def test_scan_window_moves_heads_on_new_blocks():
-    items = [Item(k, make_seq(0, i)) for i, k in enumerate([1, 2, 3, 4])]
+    items = [Item((k, make_seq(0, i))) for i, k in enumerate([1, 2, 3, 4])]
     a = Block(4, items)
-    items[0].taken = items[1].taken = True
+    claims = ClaimTable()
+    assert claims.try_claim(items[0]) and claims.try_claim(items[1])
     blocks, members = _scan_window((a,), 1)
     assert a.head == 0 and a.capacity == 4   # a published block is never mutated
     assert blocks[0] is not a and blocks[0].head == 2
@@ -204,11 +205,24 @@ def test_conservation_across_batches_and_deletes():
     assert Counter(got) == Counter(inserted)
 
 
+def test_insert_batch_of_the_same_block_twice_keeps_one_copy():
+    """A block spilled by its owner and again, as a spied copy, by
+    another thread."""
+    s = Slsm(2)
+    b = batch([1, 2, 2, 5, 8])
+    s.insert_batch(b)
+    s.insert_batch(b)
+    assert sorted(id(it) for it in s.live_items()) == sorted(map(id, b.items))
+    assert [it.key for it in s.window_items()] == [1, 2, 2]
+    for blk in s._state.blocks:
+        blk.check()
+
+
 def test_insert_batch_skips_dead_items():
     s = Slsm(4)
     b = batch([1, 2, 3, 4])
-    b.items[0].taken = True
-    b.items[2].taken = True
+    claims = ClaimTable()
+    assert claims.try_claim(b.items[0]) and claims.try_claim(b.items[2])
     s.insert_batch(b)
     assert sorted(it.key for it in s.live_items()) == [2, 4]
 
