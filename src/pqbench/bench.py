@@ -230,7 +230,11 @@ def _pin_self(index: int) -> bool:
 # workers
 
 class _Ticker:
-    """Strictly increasing logical clock; call only inside the commit lock."""
+    """Strictly increasing logical clock; call only inside the commit lock.
+
+    It ticks once per logged event, prefill included, so ``t`` is the
+    length of all threads' logs together.
+    """
 
     __slots__ = ("t",)
 
@@ -267,7 +271,7 @@ def _throughput_worker(idx, handle, wl, barrier, stop, out, track):
 
 
 def _quality_worker(idx, handle, wl, barrier, stop, out, log, commit, ticker,
-                    per_cap, overflow):
+                    cap, overflow):
     _pin_self(idx)
     barrier.wait()
     ins = dels = absent = 0
@@ -283,7 +287,8 @@ def _quality_worker(idx, handle, wl, barrier, stop, out, log, commit, ticker,
         else:
             with commit:
                 it = handle.delete_min()
-                ts = ticker.tick()
+                if it is not None:
+                    ts = ticker.tick()
             if it is None:
                 absent += 1
             else:
@@ -291,7 +296,7 @@ def _quality_worker(idx, handle, wl, barrier, stop, out, log, commit, ticker,
                 dels += 1
                 if wl.depend_on_deleted:
                     wl.note_deleted(it.key)
-        if len(log) >= per_cap:
+        if ticker.t > cap:  # unlocked read: one op a thread past the cap at most
             overflow.set()
             stop.set()
             break
@@ -423,8 +428,7 @@ def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
     ticker = _Ticker()
     overflow = threading.Event()
     commit = threading.Lock()
-    per_cap = max(1, cfg.max_log_events // cfg.threads)
-    args = [(logs[i], commit, ticker, per_cap, overflow)
+    args = [(logs[i], commit, ticker, cfg.max_log_events, overflow)
             for i in range(cfg.threads)]
     handles, result = _run_rep(cfg, rep, _quality_worker, args,
                                logs=logs, ticker=ticker)

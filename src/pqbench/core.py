@@ -118,6 +118,9 @@ class Block:
     dead via their item's ``taken`` flag (set by another thread that holds
     a copy); those are skipped lazily.  ``occupancy`` is therefore the
     structural count, not necessarily the live count.
+
+    A block never changes once built: popping a head makes a new block
+    over the same item list, so published snapshots stay as they were.
     """
 
     __slots__ = ("capacity", "items", "head")
@@ -158,44 +161,29 @@ def fitted(items: List[Item], head: int = 0) -> Block:
     return Block(fit_capacity(len(items) - head), items, head)
 
 
-def merge_blocks(a: Block, b: Block) -> Optional[Block]:
-    """Merge two equal-capacity blocks into one of doubled capacity.
-
-    Returns None when every input item was already consumed.  If enough
-    items were consumed remotely that the doubled capacity would be less
-    than half full, the result is shrunk to fit.
-    """
-    if a.capacity != b.capacity:
-        raise ValueError("merge requires equal capacities")
-    merged = merge_sorted_live(a.items, a.head, b.items, b.head)
-    return fitted(merged) if merged else None
-
-
 def place(blocks: List[Block], blk: Block) -> None:
     """Add ``blk`` to a descending-capacity block list, binary-counter style.
 
-    While a block of equal capacity exists the two merge and the carry
-    moves on; the result lands in capacity order.  Merging builds new
-    blocks, so snapshots that still hold the old ones stay valid.
+    The carry walks in from the small end.  A block of equal capacity
+    always sits at the insertion point, so the two merge right there and
+    the merged block walks on; a merge whose consumed items shrink it
+    below the blocks already passed walks in again from the small end.
+    Merging builds new blocks, so snapshots that hold the old ones stay
+    valid.
     """
-    while True:
-        match = None
-        for b in blocks:
-            if b.capacity == blk.capacity:
-                match = b
-                break
-        if match is None:
-            break
-        blocks.remove(match)
-        merged = merge_blocks(match, blk)
-        if merged is None:
-            return
-        blk = merged
-    for i, b in enumerate(blocks):
-        if b.capacity < blk.capacity:
-            blocks.insert(i, blk)
-            return
-    blocks.append(blk)
+    i = len(blocks)
+    while i and blocks[i - 1].capacity <= blk.capacity:
+        i -= 1
+        b = blocks[i]
+        if b.capacity == blk.capacity:
+            del blocks[i]
+            merged = merge_sorted_live(b.items, b.head, blk.items, blk.head)
+            if not merged:
+                return
+            blk = fitted(merged)
+            if blk.capacity < b.capacity:
+                i = len(blocks)
+    blocks.insert(i, blk)
 
 
 def compact(blocks: Iterable[Block]) -> List[Block]:
@@ -249,15 +237,6 @@ class Lsm:
     def insert(self, item: Item) -> None:
         place(self.blocks, Block(1, [item]))
 
-    def _maintain(self, blk: Block) -> None:
-        # restore the half-full invariant after head advances
-        occ = len(blk.items) - blk.head
-        if occ and fit_capacity(occ) == blk.capacity:
-            return
-        self.blocks.remove(blk)
-        if occ:
-            place(self.blocks, fitted(blk.items, blk.head))
-
     def _cleanup(self) -> None:
         # drop remotely consumed items sitting at block heads
         for blk in self.blocks:
@@ -280,10 +259,26 @@ class Lsm:
         return best
 
     def pop_head(self, blk: Block) -> Item:
-        item = blk.items[blk.head]
-        blk.head += 1
-        self._maintain(blk)
-        return item
+        """Consume the head of ``blk``, one of this queue's blocks.
+
+        The block is replaced by one that starts past the head: in its
+        slot while it still fits that capacity, through :func:`place` when
+        it shrinks, and not at all when nothing is left.
+        """
+        blocks = self.blocks
+        i = blocks.index(blk)
+        items = blk.items
+        head = blk.head + 1
+        if head == len(items):
+            del blocks[i]
+        else:
+            nb = fitted(items, head)
+            if nb.capacity == blk.capacity:
+                blocks[i] = nb
+            else:
+                del blocks[i]
+                place(blocks, nb)
+        return items[head - 1]
 
     def delete_min(self) -> Optional[Item]:
         loc = self.peek_min()

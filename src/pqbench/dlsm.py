@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from typing import List, Optional, Tuple
 
-from .core import Block, ClaimTable, Item, Lsm, fitted, place
+from .core import Block, ClaimTable, Item, Lsm, compact, place
 
 Snapshot = Tuple[Block, ...]
 
@@ -101,11 +101,14 @@ class DlsmHandle:
                 return it
 
     def spy(self) -> int:
-        """Copy the first non-empty victim snapshot into the local queue.
+        """Copy the first victim snapshot with a live item into the local
+        queue; returns the number of items copied.
 
-        Victims are scanned round-robin from the next thread id.  Items
-        are copied by reference, so their consumption flags stay shared
-        with the victim's originals.
+        Victims are scanned round-robin from the next thread id.  A
+        snapshot's blocks never change, so :func:`~pqbench.core.compact`
+        drops what other threads already took and the rest is placed
+        into the local blocks.  Items are copied by reference, so their
+        consumption flags stay shared with the victim's originals.
         """
         shared = self.shared
         dead = self._dead_snaps
@@ -117,26 +120,12 @@ class DlsmHandle:
                 # seen fully consumed stays that way; republishing swaps in
                 # a new object and falls through this identity check
                 continue
-            copied: List[Block] = []
-            live = 0
-            for blk in snap:
-                head = blk.head  # racy read; stale is fine, claims dedupe
-                items = blk.items
-                blk_live = sum(1 for it in items[head:] if not it.taken)
-                if blk_live == 0:
-                    # a stale snapshot full of consumed items must not
-                    # count as success, or victims further along the ring
-                    # would never be reached
-                    continue
-                # the victim may have advanced the shared head since
-                # publishing, so restore the half-full invariant here
-                copied.append(fitted(items, head))
-                live += blk_live
-            if live:
+            copied = compact(snap)
+            if copied:
                 blocks = self.local.blocks
-                for blk in copied:  # place merges any capacity collisions
+                for blk in copied:
                     place(blocks, blk)
                 self.publish()
-                return live
+                return sum(blk.occupancy for blk in copied)
             dead[victim] = snap
         return 0

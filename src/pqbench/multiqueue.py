@@ -151,10 +151,6 @@ class MqHandle:
         self.rng = rng
         self._counter = 0
 
-    @property
-    def thread_id(self) -> int:
-        return self.owner
-
     def insert(self, key: int, value=None) -> Item:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")

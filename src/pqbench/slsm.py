@@ -43,8 +43,13 @@ class _State:
 
 
 def _scan_window(blocks, k):
-    """Skip dead prefixes, then collect the k+1 smallest live items with a
-    k-way head scan."""
+    """Skip dead prefixes, then collect the k+1 smallest distinct live
+    items with a k-way head scan.
+
+    One item may sit in two blocks (a spied copy spilled apart from its
+    original); its copies compare equal, so they pop one after another
+    and only the first is kept.
+    """
     blocks = compact(blocks)
     heap = []
     for idx, blk in enumerate(blocks):
@@ -54,7 +59,8 @@ def _scan_window(blocks, k):
     while heap and len(members) < k + 1:
         it, idx, pos = heapq.heappop(heap)
         items = blocks[idx].items
-        members.append(it)
+        if not members or it is not members[-1]:
+            members.append(it)
         n = len(items)
         p = pos + 1
         while p < n and items[p].taken:
@@ -154,13 +160,13 @@ class Slsm:
         return [it for it in self._state.members if not it.taken]
 
     def live_items(self) -> List[Item]:
-        s = self._state
-        out = []
-        for blk in s.blocks:
+        """Each live item once, even if two blocks hold it."""
+        out = {}
+        for blk in self._state.blocks:
             for it in blk.items[blk.head:]:
                 if not it.taken:
-                    out.append(it)
-        return out
+                    out[it] = None
+        return list(out)
 
     def live_count(self) -> int:
         return len(self.live_items())

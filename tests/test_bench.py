@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -247,6 +248,17 @@ def test_quality_rep_overflow():
     c = cfg(mode="quality", duration_s=0.5, max_log_events=100)
     with pytest.raises(LogOverflowError):
         run_quality_rep(c, 0)
+
+
+def test_quality_log_cap_counts_all_threads_and_prefill():
+    # 600 prefill inserts plus at most 600 deletes fit a 1200-event cap,
+    # however the two threads split the deletes between them
+    c = cfg(mode="quality", threads=2, prefill=600, insert_fraction=0.0,
+            duration_s=0.2, max_log_events=1200)
+    r = run_quality_rep(c, 0)
+    assert r.deletes == 600
+    with pytest.raises(LogOverflowError):
+        run_quality_rep(replace(c, max_log_events=599), 0)
 
 
 class _StubQueue:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import pqbench.core as core
 from pqbench.core import (Block, ClaimTable, Item, Lsm, SEQ_THREAD_SHIFT,
                           compact, fit_capacity, fitted, make_seq,
-                          merge_blocks, merge_sorted_live)
+                          merge_sorted_live, place)
 from pqbench.slsm import Slsm
 
 
@@ -101,10 +101,19 @@ def test_merge_sorted_live_equals_sorted_union(ka, kb):
         [(it.key, it.seq) for it in a + b])
 
 
+def place_pair(a, b):
+    """The block :func:`place` makes of two equal-capacity blocks, or None
+    when every input item was already consumed."""
+    blocks = [a]
+    place(blocks, b)
+    assert len(blocks) <= 1
+    return blocks[0] if blocks else None
+
+
 def test_merge_blocks_doubles_capacity():
     a = Block(2, items([2, 9]))
     b = Block(2, items([5, 7], start_seq=10))
-    m = merge_blocks(a, b)
+    m = place_pair(a, b)
     assert m.capacity == 4
     assert keys_of(m) == [2, 5, 7, 9]
 
@@ -112,7 +121,7 @@ def test_merge_blocks_doubles_capacity():
 def test_merge_blocks_tie_breaks_by_seq():
     young = Item((3, make_seq(0, 0)))
     old = Item((3, make_seq(0, 5)))
-    m = merge_blocks(Block(1, [old]), Block(1, [young]))
+    m = place_pair(Block(1, [old]), Block(1, [young]))
     assert m.capacity == 2
     assert [it.seq for it in m.items] == [young.seq, old.seq]
 
@@ -120,7 +129,7 @@ def test_merge_blocks_tie_breaks_by_seq():
 def test_merge_blocks_occupancies_3_and_4():
     a = Block(4, items([1, 5, 9]))
     b = Block(4, items([2, 4, 6, 8], start_seq=10))
-    m = merge_blocks(a, b)
+    m = place_pair(a, b)
     assert m.capacity == 8
     assert m.occupancy == 7
 
@@ -129,7 +138,7 @@ def test_merge_blocks_shrinks_when_claims_depleted():
     a = Block(4, items([1, 5, 9]))
     b = Block(4, items([2, 4, 6, 8], start_seq=10))
     take(*a.items, *b.items[:2])
-    m = merge_blocks(a, b)
+    m = place_pair(a, b)
     assert keys_of(m) == [6, 8]
     assert m.capacity == 2
 
@@ -138,20 +147,75 @@ def test_merge_blocks_all_dead_gives_none():
     a = Block(1, items([1]))
     b = Block(1, items([2], start_seq=1))
     take(a.items[0], b.items[0])
-    assert merge_blocks(a, b) is None
+    assert place_pair(a, b) is None
 
 
 def test_merge_keeps_one_copy_of_an_item_in_both_blocks():
     """A spied copy of a block spilled next to its original."""
     blk = Block(4, items([1, 2, 2, 5]))
-    m = merge_blocks(blk, fitted(blk.items))
+    m = place_pair(blk, fitted(blk.items))
     assert [id(it) for it in m.items] == [id(it) for it in blk.items]
     m.check()
     # the copy's head moved on and one shared item was taken since
     take(blk.items[3])
-    m = merge_blocks(blk, fitted(blk.items, 1))
+    m = place_pair(blk, fitted(blk.items, 1))
     assert [id(it) for it in m.items] == [id(it) for it in blk.items[:3]]
     m.check()
+
+
+def test_place_walks_back_after_a_shrinking_merge():
+    """A merge whose claims shrink it below the blocks the carry already
+    passed merges with those on its way back to its slot."""
+    a = Block(4, items([1, 2, 3, 4]))
+    b = Block(2, items([5, 6], start_seq=10))
+    c = Block(1, items([7], start_seq=20))
+    d = Block(4, items([8, 9, 10], start_seq=30))
+    take(*a.items[:3], *d.items)
+    blocks = [a, b, c]
+    place(blocks, d)
+    assert [blk.capacity for blk in blocks] == [4]
+    assert keys_of(blocks[0]) == [4, 5, 6, 7]
+    blocks[0].check()
+
+
+@st.composite
+def placements(draw):
+    """A valid descending block list, a block to place into it, and which
+    items other claimants took; seqs are distinct across all blocks."""
+    seqs = iter(range(1 << 20))
+
+    def block(exp):
+        cap = 1 << exp
+        head = draw(st.integers(0, 2))
+        occ = draw(st.integers(cap // 2 + 1, cap))
+        keys = sorted(draw(st.lists(st.integers(0, 9), min_size=head + occ,
+                                    max_size=head + occ)))
+        return Block(cap, [Item((k, next(seqs))) for k in keys], head)
+
+    exps = draw(st.sets(st.integers(0, 5)))
+    blocks = [block(e) for e in sorted(exps, reverse=True)]
+    blk = block(draw(st.integers(0, 5)))
+    pool = [it for b in blocks + [blk] for it in b.items]
+    dead = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    take(*(it for it, d in zip(pool, dead) if d))
+    return blocks, blk
+
+
+def live_ids(blocks):
+    return sorted(id(it) for b in blocks for it in b.items[b.head:]
+                  if not it.taken)
+
+
+@given(placements())
+def test_place_keeps_distinct_descending_capacities_and_live_items(case):
+    blocks, blk = case
+    want = live_ids(blocks + [blk])
+    place(blocks, blk)
+    caps = [b.capacity for b in blocks]
+    assert caps == sorted(set(caps), reverse=True)
+    for b in blocks:
+        b.check()
+    assert live_ids(blocks) == want
 
 
 def test_merges_go_through_the_module_global(monkeypatch):

@@ -112,6 +112,27 @@ def test_published_snapshots_satisfy_block_invariants():
         blk.check()
 
 
+def test_published_snapshot_blocks_never_change():
+    """Pops and spills after publishing build new blocks; the blocks a
+    spying thread may be reading keep their head, capacity and items."""
+    shared = DlsmShared(2)
+    h0, _ = shared.register(), shared.register()
+    fill(h0, range(7))               # blocks of capacity 4, 2 and 1
+    snap = shared.slots[0]
+    before = [(blk.head, blk.capacity, blk.items, list(blk.items))
+              for blk in snap]
+    for _ in range(3):
+        assert h0.delete_min() is not None
+    h0.local.spill_largest()
+    h0.publish()
+    assert shared.slots[0] is not snap
+    assert [(blk.head, blk.capacity) for blk in snap] == [
+        (head, cap) for head, cap, _, _ in before]
+    for blk, (_, _, items, contents) in zip(snap, before):
+        assert blk.items is items and items == contents
+        blk.check()
+
+
 def test_spy_skips_fully_consumed_snapshots():
     """A stale all-dead snapshot must not hide victims further along."""
     shared = DlsmShared(3)

@@ -5,7 +5,7 @@ import random
 import threading
 from collections import Counter
 
-from pqbench.core import Block, ClaimTable, Item, make_seq
+from pqbench.core import Block, ClaimTable, Item, fitted, make_seq
 from pqbench.klsm import Klsm
 from pqbench.slsm import Slsm, _scan_window
 
@@ -78,6 +78,19 @@ def test_scan_window_moves_heads_on_new_blocks():
     assert blocks[0] is not a and blocks[0].head == 2
     assert blocks[0].capacity == 2           # re-fitted to its 2 live items
     assert [it.key for it in members] == [3, 4]
+
+
+def test_window_holds_an_item_in_two_blocks_once():
+    """A live item in two shared blocks (a spied copy spilled apart from
+    its original) takes one window slot and counts once."""
+    s = Slsm(3)
+    a = [Item((k, make_seq(0, k))) for k in (1, 2, 3, 4)]
+    s.insert_batch(fitted(a))
+    s.insert_batch(fitted([a[1], Item((9, 9))]))
+    window = s.window_items()
+    assert window == a
+    assert s.live_count() == 5
+    assert sorted(s.live_items()) == a + [Item((9, 9))]
 
 
 def test_shared_blocks_stay_more_than_half_full():
