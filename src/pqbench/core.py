@@ -161,7 +161,7 @@ def fitted(items: List[Item], head: int = 0) -> Block:
     return Block(fit_capacity(len(items) - head), items, head)
 
 
-def place(blocks: List[Block], blk: Block) -> None:
+def place(blocks: List[Block], blk: Block) -> int:
     """Add ``blk`` to a descending-capacity block list, binary-counter style.
 
     The carry walks in from the small end.  A block of equal capacity
@@ -169,8 +169,10 @@ def place(blocks: List[Block], blk: Block) -> None:
     the merged block walks on; a merge whose consumed items shrink it
     below the blocks already passed walks in again from the small end.
     Merging builds new blocks, so snapshots that hold the old ones stay
-    valid.
+    valid.  Returns how many slots the merges dropped (taken items and
+    second copies), so a caller can keep its occupancy count.
     """
+    dropped = 0
     i = len(blocks)
     while i and blocks[i - 1].capacity <= blk.capacity:
         i -= 1
@@ -178,12 +180,15 @@ def place(blocks: List[Block], blk: Block) -> None:
         if b.capacity == blk.capacity:
             del blocks[i]
             merged = merge_sorted_live(b.items, b.head, blk.items, blk.head)
+            dropped += (len(b.items) - b.head + len(blk.items) - blk.head
+                        - len(merged))
             if not merged:
-                return
+                return dropped
             blk = fitted(merged)
             if blk.capacity < b.capacity:
                 i = len(blocks)
     blocks.insert(i, blk)
+    return dropped
 
 
 def compact(blocks: Iterable[Block]) -> List[Block]:
@@ -218,45 +223,40 @@ class Lsm:
     shared :class:`ClaimTable`; only the owner restructures.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "size")
 
     def __init__(self) -> None:
         # descending capacity; capacities pairwise distinct
         self.blocks: List[Block] = []
-
-    @property
-    def size(self) -> int:
-        n = 0
-        for b in self.blocks:
-            n += len(b.items) - b.head
-        return n
+        # sum of block occupancies, kept by every op that changes them
+        self.size = 0
 
     def __len__(self) -> int:
         return self.size
 
     def insert(self, item: Item) -> None:
-        place(self.blocks, Block(1, [item]))
-
-    def _cleanup(self) -> None:
-        # drop remotely consumed items sitting at block heads
-        for blk in self.blocks:
-            if blk.items[blk.head].taken:
-                self.blocks = compact(self.blocks)
-                return
+        self.size += 1 - place(self.blocks, Block(1, [item]))
 
     def peek_min(self) -> Optional[Tuple[Block, Item]]:
-        """Smallest live head and the block to pop it from.
+        """Smallest live head and the block to pop it from, in one walk.
 
-        Skipping dead heads may restructure blocks, but the live contents
-        are untouched.
+        A dead head (taken by another claimant) makes the walk compact
+        the blocks, recount and start again; that may restructure blocks,
+        but the live contents are untouched.
         """
-        self._cleanup()
-        best: Optional[Tuple[Block, Item]] = None
-        for blk in self.blocks:
-            it = blk.items[blk.head]
-            if best is None or it < best[1]:
-                best = (blk, it)
-        return best
+        while True:
+            best = None
+            for blk in self.blocks:
+                it = blk.items[blk.head]
+                if it.taken:
+                    break
+                if best is None or it < best:
+                    best = it
+                    best_blk = blk
+            else:
+                return None if best is None else (best_blk, best)
+            self.blocks = compact(self.blocks)
+            self.size = sum(len(b.items) - b.head for b in self.blocks)
 
     def pop_head(self, blk: Block) -> Item:
         """Consume the head of ``blk``, one of this queue's blocks.
@@ -269,6 +269,7 @@ class Lsm:
         i = blocks.index(blk)
         items = blk.items
         head = blk.head + 1
+        self.size -= 1
         if head == len(items):
             del blocks[i]
         else:
@@ -277,7 +278,7 @@ class Lsm:
                 blocks[i] = nb
             else:
                 del blocks[i]
-                place(blocks, nb)
+                self.size -= place(blocks, nb)
         return items[head - 1]
 
     def delete_min(self) -> Optional[Item]:
@@ -291,7 +292,9 @@ class Lsm:
         """Detach and return the largest-capacity block."""
         if not self.blocks:
             return None
-        return self.blocks.pop(0)
+        blk = self.blocks.pop(0)
+        self.size -= len(blk.items) - blk.head
+        return blk
 
     def live_items(self) -> Iterator[Item]:
         for blk in self.blocks:

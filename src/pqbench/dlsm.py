@@ -2,9 +2,10 @@
 
 Every registered thread owns a private :class:`~pqbench.core.Lsm` and
 publishes an immutable snapshot of its block list after each structural
-change.  A thread whose local queue runs dry copies ("spies") another
-thread's published snapshot instead of stealing; the shared claim table
-makes delivery at-most-once even though copies duplicate items.  Returned
+change; a one-thread group, which has nobody to spy, publishes nothing.
+A thread whose local queue runs dry copies ("spies") another thread's
+published snapshot instead of stealing; the shared claim table makes
+delivery at-most-once even though copies duplicate items.  Returned
 items are only guaranteed minimal among the calling thread's items.
 """
 from __future__ import annotations
@@ -18,7 +19,7 @@ Snapshot = Tuple[Block, ...]
 
 
 class DlsmShared:
-    """Registration slots and published snapshots for a thread group."""
+    """Registered handles and published snapshots for a thread group."""
 
     def __init__(self, threads: int, claims: Optional[ClaimTable] = None):
         if threads < 1:
@@ -26,16 +27,16 @@ class DlsmShared:
         self.nthreads = threads
         self.claims = claims if claims is not None else ClaimTable()
         self.slots: List[Snapshot] = [() for _ in range(threads)]
+        self.handles: List["DlsmHandle"] = []
         self._reg_lock = threading.Lock()
-        self._registered = 0
 
     def register(self) -> "DlsmHandle":
         with self._reg_lock:
-            if self._registered >= self.nthreads:
+            if len(self.handles) >= self.nthreads:
                 raise RuntimeError("all thread slots already registered")
-            owner = self._registered
-            self._registered += 1
-        return DlsmHandle(self, owner)
+            handle = DlsmHandle(self, len(self.handles))
+            self.handles.append(handle)
+        return handle
 
 
 class DlsmHandle:
@@ -51,8 +52,10 @@ class DlsmHandle:
         self._dead_snaps: dict = {}
 
     def publish(self) -> None:
-        # readers only ever see complete, immutable block tuples
-        self.shared.slots[self.owner] = tuple(self.local.blocks)
+        # readers only ever see complete, immutable block tuples; a
+        # one-thread group has no spy to read them
+        if self.shared.nthreads > 1:
+            self.shared.slots[self.owner] = tuple(self.local.blocks)
 
     def insert(self, item: Item) -> None:
         self.local.insert(item)
@@ -122,9 +125,9 @@ class DlsmHandle:
                 continue
             copied = compact(snap)
             if copied:
-                blocks = self.local.blocks
+                local = self.local
                 for blk in copied:
-                    place(blocks, blk)
+                    local.size += blk.occupancy - place(local.blocks, blk)
                 self.publish()
                 return sum(blk.occupancy for blk in copied)
             dead[victim] = snap

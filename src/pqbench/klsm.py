@@ -48,20 +48,15 @@ class Klsm:
         return rank_bound(self.k, self.threads)
 
     def live_items(self) -> List[Item]:
-        """Deduplicated live items across snapshots and the shared part."""
-        seen = set()
-        out = []
-        for snap in self.dlsm.slots:
-            for blk in snap:
-                for it in blk.items[blk.head:]:
-                    if not it.taken and id(it) not in seen:
-                        seen.add(id(it))
-                        out.append(it)
-        for it in self.slsm.live_items():
-            if id(it) not in seen:
-                seen.add(id(it))
-                out.append(it)
-        return out
+        """Each live item once, across the local parts and the shared part.
+
+        Reads the handles' own blocks, so call it while no handle runs.
+        """
+        out = {}
+        for handle in self.dlsm.handles:
+            out.update(dict.fromkeys(handle.local.live_items()))
+        out.update(dict.fromkeys(self.slsm.live_items()))
+        return list(out)
 
     def live_count(self) -> int:
         return len(self.live_items())

@@ -138,8 +138,14 @@ class Slsm:
                 self._rebuild_from(s)
                 continue
             n = len(members)
+            bits = n.bit_length()
+            getrandbits = rng.getrandbits
             for _ in range(PICK_ATTEMPTS):
-                it = members[rng.randrange(n)]
+                # rng.randrange(n) inlined: the same draws, no Python frames
+                i = getrandbits(bits)
+                while i >= n:
+                    i = getrandbits(bits)
+                it = members[i]
                 if not it.taken:
                     return it
             self._rebuild_from(s)

@@ -218,6 +218,17 @@ def test_place_keeps_distinct_descending_capacities_and_live_items(case):
     assert live_ids(blocks) == want
 
 
+@given(placements())
+def test_place_reports_the_slots_its_merges_dropped(case):
+    """What ``place`` returns keeps an occupancy count exact: the slots
+    before, plus the placed block's, minus the drops, are the slots after."""
+    blocks, blk = case
+    before = sum(b.occupancy for b in blocks) + blk.occupancy
+    dropped = place(blocks, blk)
+    assert dropped >= 0
+    assert sum(b.occupancy for b in blocks) == before - dropped
+
+
 def test_merges_go_through_the_module_global(monkeypatch):
     """Tracers count merged items by patching ``core.merge_sorted_live``;
     every Lsm and Slsm merge must look it up there."""

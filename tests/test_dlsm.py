@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+import pqbench.core as core
 from pqbench.core import Item, make_seq
 from pqbench.dlsm import DlsmShared
 
@@ -199,3 +200,56 @@ def test_spy_memoizes_dead_snapshots_until_republish():
     assert a.delete_min() is None      # served by the memo, not a rescan
     b.insert(Item((3, make_seq(1, 2))))  # republish replaces the snapshot
     assert a.delete_min().key == 3
+
+
+def test_one_thread_group_publishes_nothing():
+    """With one thread no spy can read a snapshot, so none is built."""
+    shared = DlsmShared(1)
+    h = shared.register()
+    fill(h, [3, 1, 2])
+    assert h.delete_min().key == 1
+    assert shared.slots == [()]
+    assert [it.key for it in drain(h)] == [2, 3]
+
+
+def test_kept_size_matches_block_occupancy_after_every_op(monkeypatch):
+    """``Lsm.size`` is a kept count.  It must equal the summed block
+    occupancy after every op: through remote claims in the shared claim
+    table, spies, pops that shrink a block, spills, and merges that drop
+    taken items."""
+    drops = []
+    place = core.place
+
+    def counting_place(blocks, blk):
+        dropped = place(blocks, blk)
+        drops.append(dropped)
+        return dropped
+
+    monkeypatch.setattr(core, "place", counting_place)
+    shared = DlsmShared(2)
+    handles = [shared.register(), shared.register()]
+    counters = [0, 0]
+    copied = 0
+    rng = random.Random(23)
+    for _ in range(4000):
+        h = rng.choice(handles)
+        r = rng.random()
+        if r < 0.45:
+            h.insert(Item((rng.getrandbits(8), make_seq(h.owner, counters[h.owner]))))
+            counters[h.owner] += 1
+        elif r < 0.7:
+            h.delete_min()
+        elif r < 0.88:
+            # another thread claims one of this handle's live items
+            live = list(h.local.live_items())
+            if live:
+                assert shared.claims.try_claim(rng.choice(live))
+        elif r < 0.96:
+            copied += h.spy()
+        else:
+            h.local.spill_largest()
+        for g in handles:
+            assert g.local.size == len(g.local) == sum(
+                blk.occupancy for blk in g.local.blocks)
+    assert copied > 0
+    assert any(drops)

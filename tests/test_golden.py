@@ -1,0 +1,75 @@
+"""Fixed-seed behaviour pinned to recorded digests.
+
+Speed work on the LSM path must not change which item any operation
+returns.  Each case drives a seeded single-thread mix of inserts and
+deletes on 16-bit keys, then drains the queue, and hashes the seq of every
+deletion in order (an absent delete hashes as a marker) together with the
+shared LSM's final ``version``.  A mismatch means an operation now
+returns a different item or the window is rebuilt at other times; a change
+meant to do that re-records the digests and says why.
+"""
+import hashlib
+import random
+
+import pytest
+
+from pqbench.baseline import SeqLsmQueue
+from pqbench.klsm import Klsm
+
+PREFILL = 3000
+OPS = 30000
+
+
+def digest(queue, handles, seed):
+    """Hash of every deleted seq, then the drain, then slsm.version."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+
+    def delete(handle):
+        it = handle.delete_min()
+        h.update(b"-" if it is None else it.seq.to_bytes(8, "little"))
+        return it
+
+    for _ in range(PREFILL):
+        rng.choice(handles).insert(rng.getrandbits(16))
+    for _ in range(OPS):
+        handle = rng.choice(handles)
+        if rng.random() < 0.5:
+            handle.insert(rng.getrandbits(16))
+        else:
+            delete(handle)
+    h.update(b"|")
+    for handle in handles:
+        while delete(handle) is not None:
+            pass
+    version = queue.slsm.version if isinstance(queue, Klsm) else 0
+    h.update(version.to_bytes(8, "little"))
+    return h.hexdigest()[:16], version
+
+
+def klsm_case(k, threads):
+    q = Klsm(k, threads)
+    return q, [q.register(random.Random(100 + i)) for i in range(threads)]
+
+
+def seqlsm_case():
+    q = SeqLsmQueue()
+    return q, [q]
+
+
+CASES = {
+    # name: (build, seed, digest, slsm.version)
+    "klsm-k4": (lambda: klsm_case(4, 1), 41, "b768e70d039e1fcd", 3255),
+    "klsm-k16": (lambda: klsm_case(16, 1), 42, "81e229bdfdcbcdb4", 739),
+    "klsm-k256": (lambda: klsm_case(256, 1), 43, "f35fbaabd0600013", 56),
+    # two handles driven from one thread: spies and publishes, no races
+    "klsm-k16-two-handles": (lambda: klsm_case(16, 2), 44, "a620cb2e6a0e330e", 682),
+    "seqlsm": (seqlsm_case, 45, "07df4ebfd2f4b2f6", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fixed_seed_deletions_match_recorded_digest(name):
+    build, seed, want_digest, want_version = CASES[name]
+    queue, handles = build()
+    assert digest(queue, handles, seed) == (want_digest, want_version)

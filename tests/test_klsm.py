@@ -136,6 +136,32 @@ def test_live_count_tracks_inserts_and_deletes():
     assert q.live_count() == 15
 
 
+def test_live_count_reads_local_parts_without_snapshots():
+    """A one-thread group publishes nothing, so the count comes from the
+    handle's own blocks and the shared part."""
+    q = Klsm(k=4, threads=1)
+    h = q.register(random.Random(0))
+    for i in range(20):
+        h.insert(i)
+    assert q.dlsm.slots == [()]
+    assert q.slsm.live_count() > 0
+    assert q.live_count() == 20
+
+
+def test_live_count_counts_spied_copies_once():
+    q = Klsm(k=64, threads=2)
+    a, b = q.register(random.Random(1)), q.register(random.Random(2))
+    for i in range(30):
+        a.insert(i)
+    # b's local part is empty, so it copies a's snapshot before deleting
+    assert b.delete_min().key == 0
+    assert b.dlsm.local.size == 29
+    assert q.live_count() == 29
+    for i in range(30, 40):
+        b.insert(i)
+    assert q.live_count() == 39
+
+
 def test_concurrent_hammer_conserves_and_progresses():
     nthreads = 4
     per_thread = 400

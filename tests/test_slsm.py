@@ -5,7 +5,9 @@ import random
 import threading
 from collections import Counter
 
-from pqbench.core import Block, ClaimTable, Item, fitted, make_seq
+from hypothesis import given, strategies as st
+
+from pqbench.core import Block, ClaimTable, Item, compact, fitted, make_seq
 from pqbench.klsm import Klsm
 from pqbench.slsm import Slsm, _scan_window
 
@@ -78,6 +80,61 @@ def test_scan_window_moves_heads_on_new_blocks():
     assert blocks[0] is not a and blocks[0].head == 2
     assert blocks[0].capacity == 2           # re-fitted to its 2 live items
     assert [it.key for it in members] == [3, 4]
+
+
+@st.composite
+def shared_blocks(draw):
+    """Shared blocks with random heads and taken flags, and a window size.
+    One item may also sit in a second block, as a spied copy spilled apart
+    from its original does."""
+    seqs = iter(range(1 << 20))
+    blocks = []
+    for exp in sorted(draw(st.sets(st.integers(0, 6), max_size=5)), reverse=True):
+        cap = 1 << exp
+        head = draw(st.integers(0, 3))
+        occ = draw(st.integers(cap // 2 + 1, cap))
+        keys = draw(st.lists(st.integers(0, 30), min_size=head + occ,
+                             max_size=head + occ))
+        blocks.append(Block(cap, sorted(Item((k, next(seqs))) for k in keys), head))
+    if len(blocks) > 1:
+        src, dst = draw(st.permutations(range(len(blocks))))[:2]
+        a, b = blocks[src], blocks[dst]
+        copy = draw(st.sampled_from(a.items[a.head:]))
+        rest = b.items[:-1]
+        if sum(it < copy for it in rest) >= b.head:   # lands at or past the head
+            blocks[dst] = Block(b.capacity, sorted(rest + [copy]), b.head)
+    pool = list({id(it): it for b in blocks for it in b.items}.values())
+    dead = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    claims = ClaimTable()
+    for it, d in zip(pool, dead):
+        if d:
+            assert claims.try_claim(it)
+    return blocks, draw(st.integers(0, 12))
+
+
+@given(shared_blocks())
+def test_scan_window_matches_sorted_live_oracle(case):
+    """The window is the k+1 smallest distinct live items at or past the
+    block heads, and the blocks are the compacted input."""
+    blocks, k = case
+    live = sorted({it for b in blocks for it in b.items[b.head:] if not it.taken})
+    got_blocks, members = _scan_window(tuple(blocks), k)
+    assert list(members) == live[:k + 1]
+    assert [(b.capacity, b.head, b.items) for b in got_blocks] == [
+        (b.capacity, b.head, b.items) for b in compact(blocks)]
+
+
+def test_window_pick_draws_what_randrange_draws():
+    """``peek_candidate`` inlines ``rng.randrange(n)``: from one seed it
+    takes the same indices and leaves the generator in the same state."""
+    rng, twin = random.Random(77), random.Random(77)
+    for n in range(1, 601):
+        s = Slsm(n - 1)
+        members = [Item((key, key)) for key in range(n)]
+        s.insert_batch(fitted(members))
+        for _ in range(3):
+            assert s.peek_candidate(rng) is members[twin.randrange(n)]
+    assert rng.getstate() == twin.getstate()
 
 
 def test_window_holds_an_item_in_two_blocks_once():
