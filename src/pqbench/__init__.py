@@ -15,8 +15,8 @@ from .core import Block, ClaimTable, Item, Lsm, fit_capacity, make_seq
 from .dlsm import DlsmHandle, DlsmShared
 from .klsm import Klsm, KlsmHandle, rank_bound
 from .multiqueue import MqHandle, MultiQueue
-from .ranks import (CorruptLogError, Fenwick, OpRecord, RankStats, dump_log,
-                    load_log, merge_logs, replay_ranks, summarize_ranks)
+from .ranks import (CorruptLogError, OpRecord, RankStats, dump_log, load_log,
+                    merge_logs, replay_ranks, summarize_ranks)
 from .slsm import Slsm
 from .workload import KeyStream, ThreadWorkload, inserter_ids, prefill_shares
 
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig", "BenchResult", "Block", "ClaimTable", "ConfigError",
-    "CorruptLogError", "DlsmHandle", "DlsmShared", "Fenwick", "Item", "Klsm",
+    "CorruptLogError", "DlsmHandle", "DlsmShared", "Item", "Klsm",
     "KlsmHandle", "KeyStream", "LockedHeap", "LogOverflowError", "Lsm",
     "MqHandle", "MultiQueue", "OpRecord", "RankStats", "RepResult",
     "SelfCheckError", "SeqLsmQueue", "Slsm", "Summary", "ThreadWorkload",

@@ -9,6 +9,7 @@ from typing import List, Optional
 from .bench import (MODES, QUEUE_KINDS, BenchConfig, BenchResult, ConfigError,
                     LogOverflowError, SelfCheckError, WorkerError,
                     run_benchmark)
+from .ranks import CorruptLogError
 from .workload import KEY_KINDS, WORKLOAD_KINDS
 
 CSV_FIELDS = (
@@ -141,7 +142,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(e))   # exits with code 2 and usage text
     try:
         result = run_benchmark(cfg)
-    except (SelfCheckError, LogOverflowError, WorkerError) as e:
+    except (SelfCheckError, LogOverflowError, WorkerError,
+            CorruptLogError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     try:

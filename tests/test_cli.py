@@ -8,6 +8,7 @@ import pqbench.cli as cli
 from pqbench.bench import BenchConfig, BenchResult, RepResult, aggregate
 from pqbench.cli import (CSV_FIELDS, build_parser, config_from_args, csv_rows,
                          main)
+from pqbench.baseline import LockedHeap
 from pqbench.bench import make_queue
 
 
@@ -132,6 +133,24 @@ def test_failed_worker_exits_1(monkeypatch, capsys):
                  "--duration-s", "5", "--reps", "1"])
     assert code == 1
     assert "worker 0 failed: ValueError: broken queue" in capsys.readouterr().err
+
+
+def test_corrupt_quality_log_exits_1(monkeypatch, capsys):
+    class Stutter(LockedHeap):
+        """Hands every deleted item out twice."""
+        again = None
+
+        def delete_min(self):
+            it, self.again = self.again, None
+            if it is None:
+                it = self.again = super().delete_min()
+            return it
+
+    monkeypatch.setattr(bench, "make_queue", lambda c: Stutter())
+    code = main(["--queue", "globallock", "--prefill", "100",
+                 "--duration-s", "0.05", "--reps", "1", "--mode", "quality"])
+    assert code == 1
+    assert "error: delete of non-live seq" in capsys.readouterr().err
 
 
 def test_bound_violations_exit_3(monkeypatch, capsys):

@@ -7,14 +7,19 @@ deletion in order (an absent delete hashes as a marker) together with the
 shared LSM's final ``version``.  A mismatch means an operation now
 returns a different item or the window is rebuilt at other times; a change
 meant to do that re-records the digests and says why.
+
+The rank cases log a fixed-seed run by hand around direct queue calls, one
+log per handle, then merge and replay them and hash the rank list, so a
+faster replay must give the same ranks for the same history.
 """
 import hashlib
 import random
 
 import pytest
 
-from pqbench.baseline import SeqLsmQueue
+from pqbench.baseline import LockedHeap, SeqLsmQueue
 from pqbench.klsm import Klsm
+from pqbench.ranks import DELETE, INSERT, OpRecord, merge_logs, replay_ranks
 
 PREFILL = 3000
 OPS = 30000
@@ -73,3 +78,41 @@ def test_fixed_seed_deletions_match_recorded_digest(name):
     build, seed, want_digest, want_version = CASES[name]
     queue, handles = build()
     assert digest(queue, handles, seed) == (want_digest, want_version)
+
+
+def rank_digest(handles, seed):
+    """Hash of the replayed ranks of a fixed-seed logged run."""
+    rng = random.Random(seed)
+    logs = [[] for _ in handles]
+    for ts in range(PREFILL + OPS):
+        t = rng.randrange(len(handles))
+        if ts < PREFILL or rng.random() < 0.5:
+            it = handles[t].insert(rng.getrandbits(16))
+            logs[t].append(OpRecord(INSERT, it.key, it.seq, ts, t))
+        else:
+            it = handles[t].delete_min()
+            if it is not None:
+                logs[t].append(OpRecord(DELETE, it.key, it.seq, ts, t))
+    ranks = replay_ranks(merge_logs(logs))
+    text = ",".join(map(str, ranks)).encode()
+    return hashlib.sha256(text).hexdigest()[:16], len(ranks), max(ranks)
+
+
+def globallock_case():
+    q = LockedHeap()
+    return q, [q.register(), q.register()]
+
+
+RANK_CASES = {
+    # name: (build, seed, digest, deletes, max rank)
+    "klsm-k16-two-handles": (lambda: klsm_case(16, 2), 46, "160c21de424ab7b4",
+                             14905, 25),
+    "globallock": (globallock_case, 47, "83091fa2468e6728", 15049, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CASES))
+def test_fixed_seed_ranks_match_recorded_digest(name):
+    build, seed, *want = RANK_CASES[name]
+    _, handles = build()
+    assert rank_digest(handles, seed) == tuple(want)

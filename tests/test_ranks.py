@@ -1,9 +1,13 @@
-"""Rank replay: hand examples, brute-force oracle, log plumbing."""
+"""Rank replay: hand examples, brute-force and Fenwick oracles, log
+plumbing."""
+import heapq
 import random
+from itertools import chain
 
 import pytest
+from hypothesis import given, strategies as st
 
-from pqbench.ranks import (DELETE, INSERT, CorruptLogError, Fenwick, OpRecord,
+from pqbench.ranks import (DELETE, INSERT, CorruptLogError, OpRecord,
                            dump_log, load_log, merge_logs, replay_ranks,
                            summarize_ranks)
 
@@ -27,6 +31,45 @@ def brute_ranks(records):
         else:
             ranks.append(sum(1 for ks in live if ks <= (r.key, r.seq)))
             live.remove((r.key, r.seq))
+    return ranks
+
+
+class Fenwick:
+    """Prefix-sum counter over indices 1..n."""
+
+    __slots__ = ("n", "tree")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.tree = [0] * (n + 1)
+
+    def add(self, i: int, delta: int) -> None:
+        tree = self.tree
+        while i <= self.n:
+            tree[i] += delta
+            i += i & (-i)
+
+    def prefix(self, i: int) -> int:
+        tree = self.tree
+        s = 0
+        while i > 0:
+            s += tree[i]
+            i -= i & (-i)
+        return s
+
+
+def fenwick_ranks(records):
+    """O(log n) reference for valid logs: a Fenwick tree over the inserted
+    items' (key, seq) positions."""
+    inserted = sorted((r.key, r.seq) for r in records if r.kind == INSERT)
+    pos = {seq: i for i, (_, seq) in enumerate(inserted, 1)}
+    fen = Fenwick(len(pos))
+    ranks = []
+    for r in records:
+        i = pos[r.seq]
+        if r.kind == DELETE:
+            ranks.append(fen.prefix(i))
+        fen.add(i, 1 if r.kind == INSERT else -1)
     return ranks
 
 
@@ -94,6 +137,68 @@ def test_replay_matches_brute_force_with_many_duplicates():
     assert replay_ranks(log) == brute_ranks(log)
 
 
+def relaxed_history(rng, prefill, ops, key_range):
+    """A log from a relaxed queue: most deletes take one of the four
+    smallest live items, one in ten takes a random live item."""
+    recs = [ins(rng.randrange(key_range), seq, seq) for seq in range(prefill)]
+    heap = [(r.key, r.seq) for r in recs]
+    heapq.heapify(heap)
+    seq = prefill
+    for ts in range(prefill, prefill + ops):
+        if heap and rng.random() < 0.5:
+            if rng.random() < 0.1:
+                key, s = heap.pop(rng.randrange(len(heap)))
+                heapq.heapify(heap)
+            else:
+                smallest = [heapq.heappop(heap)
+                            for _ in range(min(len(heap), rng.randrange(1, 5)))]
+                key, s = smallest.pop()
+                for item in smallest:
+                    heapq.heappush(heap, item)
+            recs.append(dele(key, s, ts))
+        else:
+            key = rng.randrange(key_range)
+            recs.append(ins(key, seq, ts))
+            heapq.heappush(heap, (key, seq))
+            seq += 1
+    return recs
+
+
+def test_replay_matches_fenwick_across_every_counter_level():
+    # more than three blocks of 2048 positions, 64 keys for 11k items
+    log = relaxed_history(random.Random(8), prefill=8000, ops=6000,
+                          key_range=64)
+    inserted = sum(r.kind == INSERT for r in log)
+    assert inserted > 3 * 2048
+    ranks = replay_ranks(log)
+    assert ranks == fenwick_ranks(log)
+    assert max(ranks) > 2048 and min(ranks) == 1
+
+
+EDGES = (0, 1, 62, 63, 64, 65, 127, 128, 2046, 2047, 2048, 2049, 2111, 2112)
+
+
+@given(st.sampled_from((63, 64, 65, 2047, 2048, 2049, 2113)),
+       st.lists(st.tuples(st.booleans(),
+                          st.sampled_from(EDGES) | st.integers(0, 2200)),
+                max_size=40))
+def test_replay_matches_brute_force_at_block_edges(prefill, ops):
+    # prefill items have key 0 and the smallest seqs, so seq s sits at
+    # position s however many items come later; deletes aim at the edges
+    # of the 64- and 2048-position blocks
+    log = [ins(0, s, s) for s in range(prefill)]
+    keys = {s: 0 for s in range(prefill)}
+    seq = prefill
+    for ts, (is_insert, target) in enumerate(ops, prefill):
+        if is_insert:
+            keys[seq] = target % 2
+            log.append(ins(target % 2, seq, ts))
+            seq += 1
+        elif target in keys:
+            log.append(dele(keys.pop(target), target, ts))
+    assert replay_ranks(log) == brute_ranks(log)
+
+
 # ----------------------------------------------------------------------
 # corrupt logs
 
@@ -124,6 +229,22 @@ def test_key_mismatch_is_corrupt():
         replay_ranks([ins(5, 0, 1), dele(6, 0, 2)])
 
 
+@pytest.mark.parametrize("log, message", [
+    ([ins(5, 0, 1), dele(5, 7, 2)], "delete of non-live seq 7"),
+    ([ins(5, 0, 1), dele(5, 0, 2), dele(5, 0, 3)], "delete of non-live seq 0"),
+    ([ins(5, 0, 1), dele(6, 0, 2)], "delete of seq 0 reports key 6, inserted 5"),
+    ([ins(5, 0, 1), ins(6, 1, 2), ins(7, 1, 3)], "duplicate insert of seq 1"),
+    ([ins(5, 0, 5), ins(6, 1, 3)], "timestamps regress at seq 1"),
+    ([ins(5, 0, 1), OpRecord("peek", 5, 0, 2, 0)], "unknown record kind 'peek'"),
+    # of a regress and another fault, the earlier one is reported
+    ([ins(5, 0, 1), dele(5, 9, 2), ins(6, 1, 1)], "delete of non-live seq 9"),
+    ([ins(5, 0, 2), ins(6, 1, 1), dele(5, 9, 3)], "timestamps regress at seq 1"),
+])
+def test_corrupt_log_names_its_first_fault(log, message):
+    with pytest.raises(CorruptLogError, match=f"^{message}$"):
+        replay_ranks(log)
+
+
 # ----------------------------------------------------------------------
 # merging and summary
 
@@ -133,6 +254,21 @@ def test_merge_orders_by_timestamp_then_thread():
     merged = merge_logs([a, b])
     assert [(r.timestamp, r.thread) for r in merged] == [
         (5, 0), (5, 1), (7, 0), (9, 1)]
+
+
+record_fields = st.tuples(st.integers(0, 5), st.integers(0, 3))
+
+
+@given(st.lists(st.lists(record_fields, max_size=12), max_size=5))
+def test_merge_matches_sort_by_timestamp_then_thread(logs):
+    # threads and timestamps repeat across and within logs, which come in
+    # no particular thread order; seq tells equal-keyed records apart
+    seq = iter(range(1000))
+    per_thread = [[ins(0, next(seq), ts, thread) for ts, thread in log]
+                  for log in logs]
+    want = sorted(chain.from_iterable(per_thread),
+                  key=lambda r: (r.timestamp, r.thread))
+    assert merge_logs(per_thread) == want
 
 
 def test_summarize_counts_violations():
