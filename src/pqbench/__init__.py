@@ -15,8 +15,8 @@ from .core import Block, ClaimTable, Item, Lsm, fit_capacity, make_seq
 from .dlsm import DlsmHandle, DlsmShared
 from .klsm import Klsm, KlsmHandle, rank_bound
 from .multiqueue import MqHandle, MultiQueue
-from .ranks import (CorruptLogError, OpRecord, RankStats, dump_log, load_log,
-                    merge_logs, replay_ranks, summarize_ranks)
+from .ranks import (CorruptLogError, OpRecord, RankStats, merge_logs,
+                    replay_ranks, summarize_ranks)
 from .slsm import Slsm
 from .workload import KeyStream, ThreadWorkload, inserter_ids, prefill_shares
 
@@ -29,7 +29,7 @@ __all__ = [
     "MqHandle", "MultiQueue", "OpRecord", "RankStats", "RepResult",
     "SelfCheckError", "SeqLsmQueue", "Slsm", "Summary", "ThreadWorkload",
     "WorkerError",
-    "dump_log", "fit_capacity", "inserter_ids", "load_log", "make_seq",
+    "fit_capacity", "inserter_ids", "make_seq",
     "mean_ci95", "merge_logs", "prefill_shares", "rank_bound",
     "replay_ranks", "run_benchmark", "run_conservation", "run_quality_rep",
     "run_throughput_rep", "summarize_ranks",

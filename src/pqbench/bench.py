@@ -2,9 +2,10 @@
 
 Throughput mode runs the configured workload unperturbed and reports
 million-ops-per-second over the wall-clock window.  Quality mode
-additionally logs every operation; a global commit lock plus a logical
-ticker make each operation's effect and its timestamp one atomic step,
-so the merged log is a faithful serialization and replayed ranks reflect
+additionally logs every operation into one list shared by all threads.
+Each queue operation and the append of its record happen inside one
+global commit lock, so the list is born in history order and a record's
+timestamp is simply its 1-based position in it; replayed ranks reflect
 the queue, not scheduler preemption.  Quality numbers therefore measure
 ordering quality; their throughput is logging-perturbed by design.
 
@@ -28,7 +29,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .baseline import LockedHeap, SeqLsmQueue
 from .klsm import Klsm, rank_bound
 from .multiqueue import MultiQueue
-from .ranks import OpRecord, merge_logs, replay_ranks, summarize_ranks
+from .ranks import OpRecord, replay_ranks, summarize_ranks
+# unused here, but kept bound: tracers patch merge_logs in this module
+from .ranks import merge_logs  # noqa: F401
 from .workload import (DELETE, INSERT, KEY_KINDS, WORKLOAD_KINDS,
                        ThreadWorkload, inserter_ids, prefill_shares, stream)
 
@@ -229,23 +232,6 @@ def _pin_self(index: int) -> bool:
 # ----------------------------------------------------------------------
 # workers
 
-class _Ticker:
-    """Strictly increasing logical clock; call only inside the commit lock.
-
-    It ticks once per logged event, prefill included, so ``t`` is the
-    length of all threads' logs together.
-    """
-
-    __slots__ = ("t",)
-
-    def __init__(self):
-        self.t = 0
-
-    def tick(self) -> int:
-        self.t += 1
-        return self.t
-
-
 def _throughput_worker(idx, handle, wl, barrier, stop, out, track):
     _pin_self(idx)
     barrier.wait()
@@ -270,8 +256,7 @@ def _throughput_worker(idx, handle, wl, barrier, stop, out, track):
     out[idx] = (ins, dels, absent)
 
 
-def _quality_worker(idx, handle, wl, barrier, stop, out, log, commit, ticker,
-                    cap, overflow):
+def _quality_worker(idx, handle, wl, barrier, stop, out, log, commit, cap):
     _pin_self(idx)
     barrier.wait()
     ins = dels = absent = 0
@@ -281,23 +266,20 @@ def _quality_worker(idx, handle, wl, barrier, stop, out, log, commit, ticker,
         if kind == INSERT:
             with commit:
                 it = handle.insert(key)
-                ts = ticker.tick()
-            append(OpRecord(INSERT, key, it.seq, ts, idx))
+                append(OpRecord(INSERT, key, it.seq, len(log) + 1, idx))
             ins += 1
         else:
             with commit:
                 it = handle.delete_min()
                 if it is not None:
-                    ts = ticker.tick()
+                    append(OpRecord(DELETE, it.key, it.seq, len(log) + 1, idx))
             if it is None:
                 absent += 1
             else:
-                append(OpRecord(DELETE, it.key, it.seq, ts, idx))
                 dels += 1
                 if wl.depend_on_deleted:
                     wl.note_deleted(it.key)
-        if ticker.t > cap:  # unlocked read: one op a thread past the cap at most
-            overflow.set()
+        if len(log) > cap:  # unlocked read: one op a thread past the cap at most
             stop.set()
             break
     out[idx] = (ins, dels, absent)
@@ -318,7 +300,7 @@ def _build_run(cfg: BenchConfig, rep: int):
     return queue, wls, handles
 
 
-def _prefill(cfg, wls, handles, logs=None, ticker=None, track=None):
+def _prefill(cfg, wls, handles, log=None, track=None):
     ids = inserter_ids(cfg.workload, cfg.threads)
     shares = prefill_shares(cfg.prefill, len(ids))
     for tid, share in zip(ids, shares):
@@ -326,8 +308,8 @@ def _prefill(cfg, wls, handles, logs=None, ticker=None, track=None):
         for _ in range(share):
             key = wl.prefill_key()
             it = handle.insert(key)
-            if logs is not None:
-                logs[tid].append(OpRecord(INSERT, key, it.seq, ticker.tick(), tid))
+            if log is not None:
+                log.append(OpRecord(INSERT, key, it.seq, len(log) + 1, tid))
             if track is not None:
                 track[tid][0][key] += 1
 
@@ -352,18 +334,17 @@ def _check_conservation(inserted: Counter, deleted: Counter, drained: Counter):
         )
 
 
-def _run_rep(cfg: BenchConfig, rep: int, worker, worker_args: Sequence[tuple],
-             logs=None, ticker=None, track=None):
+def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
     """One repetition's lifecycle around ``worker``, the per-thread loop.
 
     Builds a fresh queue, prefills it, starts one thread per worker with
-    ``worker_args[i]`` appended to its common arguments, opens the timed
+    ``args`` appended to its common arguments, opens the timed
     window at a barrier and closes it by setting ``stop``.  A worker that
     raises stops the others and surfaces here as :class:`WorkerError`.
     Returns the handles and the repetition's operation counts.
     """
     _, wls, handles = _build_run(cfg, rep)
-    _prefill(cfg, wls, handles, logs=logs, ticker=ticker, track=track)
+    _prefill(cfg, wls, handles, log=log, track=track)
     stop = threading.Event()
     barrier = threading.Barrier(cfg.threads + 1)
     out: List[Optional[Tuple[int, int, int]]] = [None] * cfg.threads
@@ -371,7 +352,7 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, worker_args: Sequence[tuple],
 
     def run(i: int) -> None:
         try:
-            worker(i, handles[i], wls[i], barrier, stop, out, *worker_args[i])
+            worker(i, handles[i], wls[i], barrier, stop, out, *args)
         except BaseException as e:  # re-raised in the calling thread
             # the first entry is the cause; others broke on the barrier
             errors.append((i, e))
@@ -407,8 +388,7 @@ def run_throughput_rep(cfg: BenchConfig, rep: int) -> RepResult:
     track = None
     if cfg.checks_enabled:
         track = [(Counter(), Counter()) for _ in range(cfg.threads)]
-    handles, result = _run_rep(cfg, rep, _throughput_worker,
-                               [(track,)] * cfg.threads, track=track)
+    handles, result = _run_rep(cfg, rep, _throughput_worker, track, track=track)
     if track is not None:
         inserted = sum((t[0] for t in track), Counter())
         deleted = sum((t[1] for t in track), Counter())
@@ -424,26 +404,21 @@ def run_conservation(cfg: BenchConfig, rep: int = 0) -> RepResult:
 
 
 def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
-    logs: List[List[OpRecord]] = [[] for _ in range(cfg.threads)]
-    ticker = _Ticker()
-    overflow = threading.Event()
-    commit = threading.Lock()
-    args = [(logs[i], commit, ticker, cfg.max_log_events, overflow)
-            for i in range(cfg.threads)]
-    handles, result = _run_rep(cfg, rep, _quality_worker, args,
-                               logs=logs, ticker=ticker)
-    if overflow.is_set():
+    log: List[OpRecord] = []
+    cap = cfg.max_log_events
+    handles, result = _run_rep(cfg, rep, _quality_worker, log,
+                               threading.Lock(), cap, log=log)
+    if len(log) > cap:
         raise LogOverflowError(
-            f"quality log exceeded {cfg.max_log_events} events; shorten the run"
+            f"quality log exceeded {cap} events; shorten the run"
         )
 
-    merged = merge_logs(logs)
-    ranks = replay_ranks(merged)
+    ranks = replay_ranks(log)
     stats = summarize_ranks(ranks, bound=cfg.bound)
 
     if cfg.checks_enabled:
-        inserted = Counter(r.key for r in merged if r.kind == INSERT)
-        deleted = Counter(r.key for r in merged if r.kind == DELETE)
+        inserted = Counter(r.key for r in log if r.kind == INSERT)
+        deleted = Counter(r.key for r in log if r.kind == DELETE)
         _check_conservation(inserted, deleted, _drain(handles[0]))
 
     return replace(result, rank_mean=stats.rank_mean, rank_std=stats.rank_std,

@@ -1,6 +1,6 @@
 """Offline rank computation from timestamped operation logs.
 
-Each benchmark thread logs its operations; the merged, time-ordered log
+A quality run logs its operations in commit order; that time-ordered log
 is replayed against an order-statistic counter to find each deletion's
 rank: the position of the deleted item among all items live at that
 moment (1 = true minimum), under the queues' own total order
@@ -16,7 +16,6 @@ rank is two C ``sum`` slices plus one ``bytearray.count``: at most n/2048 +
 """
 from __future__ import annotations
 
-import csv
 from itertools import chain, compress, count, islice
 from operator import gt, itemgetter
 from statistics import fmean, stdev
@@ -26,7 +25,7 @@ from .workload import DELETE, INSERT
 
 
 class CorruptLogError(ValueError):
-    """The merged log is not a consistent queue history."""
+    """The log is not a consistent queue history."""
 
 
 class OpRecord(NamedTuple):
@@ -118,29 +117,3 @@ def summarize_ranks(ranks: Sequence[int], bound: Optional[int] = None) -> RankSt
     if bound is not None:
         violations = sum(1 for r in ranks if r > bound)
     return RankStats(len(ranks), mean, std, worst, violations)
-
-
-LOG_FIELDS = ("kind", "key", "seq", "timestamp", "thread")
-
-
-def dump_log(records: Iterable[OpRecord], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(LOG_FIELDS)
-        for r in records:
-            w.writerow([r.kind, r.key, r.seq, r.timestamp, r.thread])
-
-
-def load_log(path: str) -> List[OpRecord]:
-    out: List[OpRecord] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != list(LOG_FIELDS):
-            raise CorruptLogError(f"unexpected log header: {header}")
-        for row in reader:
-            if len(row) != 5:
-                raise CorruptLogError(f"malformed log row: {row}")
-            kind, key, seq, ts, thread = row
-            out.append(OpRecord(kind, int(key), int(seq), int(ts), int(thread)))
-    return out

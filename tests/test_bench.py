@@ -11,13 +11,14 @@ from pqbench import bench
 from pqbench.baseline import LockedHeap, SeqLsmQueue
 from pqbench.bench import (QUEUE_KINDS, BenchConfig, ConfigError,
                            LogOverflowError, RepResult, SelfCheckError,
-                           WorkerError, _build_run, _prefill, _Ticker,
-                           aggregate, make_queue, mean_ci95,
+                           WorkerError, _build_run, _prefill, aggregate,
+                           make_queue, mean_ci95,
                            pinning_supported, run_benchmark, run_conservation,
                            run_quality_rep, run_throughput_rep)
 from pqbench.core import Item, make_seq
 from pqbench.klsm import Klsm
 from pqbench.multiqueue import MultiQueue
+from pqbench.ranks import INSERT, OpRecord
 
 
 def cfg(**kw):
@@ -146,12 +147,6 @@ def test_mean_ci95_t_quantile_matches_reference(df, t975):
     assert half == pytest.approx(expect, rel=1e-7)
 
 
-def test_ticker_is_strictly_increasing():
-    tick = _Ticker()
-    seen = [tick.tick() for _ in range(100)]
-    assert seen == list(range(1, 101))
-
-
 # ----------------------------------------------------------------------
 # run construction
 
@@ -244,6 +239,33 @@ def test_quality_rep_logs_prefill_inserts():
     assert r.rank_mean == 1.0
 
 
+def test_quality_log_is_one_list_in_commit_order(monkeypatch):
+    # the benchmark captures replay_ranks' input where bench bound it and
+    # reads it as the run's history, so that list must be born in order
+    replay = bench.replay_ranks
+    seen = []
+
+    def capture(records):
+        seen.append(records)
+        return replay(records)
+
+    def no_merge(logs):
+        raise AssertionError("quality mode merged per-thread logs")
+
+    monkeypatch.setattr(bench, "replay_ranks", capture)
+    monkeypatch.setattr(bench, "merge_logs", no_merge)
+    c = cfg(queue="klsm", k=16, threads=2, mode="quality", prefill=300,
+            duration_s=0.1)
+    r = run_quality_rep(c, 0)
+    (log,) = seen
+    assert type(log) is list
+    assert all(type(rec) is OpRecord for rec in log)
+    assert [rec.timestamp for rec in log] == list(range(1, len(log) + 1))
+    assert all(rec.kind == INSERT for rec in log[:c.prefill])
+    assert len(log) == c.prefill + r.inserts + r.deletes
+    assert {rec.thread for rec in log[c.prefill:]} == {0, 1}
+
+
 def test_quality_rep_overflow():
     c = cfg(mode="quality", duration_s=0.5, max_log_events=100)
     with pytest.raises(LogOverflowError):
@@ -294,11 +316,12 @@ def test_worker_exception_surfaces_as_worker_error(monkeypatch, run):
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_throughput_self_check_catches_a_dropped_item(monkeypatch):
+@pytest.mark.parametrize("run", [run_throughput_rep, run_quality_rep])
+def test_self_check_catches_a_dropped_item(monkeypatch, run):
     monkeypatch.setattr(bench, "make_queue", lambda c: _StubQueue())
     c = cfg(prefill=10, self_check=True)
     with pytest.raises(SelfCheckError):
-        run_throughput_rep(c, 0)
+        run(c, 0)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqbench.ranks import (DELETE, INSERT, CorruptLogError, OpRecord,
-                           dump_log, load_log, merge_logs, replay_ranks,
-                           summarize_ranks)
+                           merge_logs, replay_ranks, summarize_ranks)
 
 
 def ins(key, seq, ts, thread=0):
@@ -302,21 +301,3 @@ def test_fenwick_matches_naive_prefix_sums():
         naive[i] += d
         j = rng.randrange(1, n + 1)
         assert fen.prefix(j) == sum(naive[:j + 1])
-
-
-def test_log_round_trips_through_csv(tmp_path):
-    rng = random.Random(3)
-    log = random_history(rng, events=200)
-    path = tmp_path / "ops.csv"
-    dump_log(log, str(path))
-    text = path.read_bytes()
-    assert text.startswith(b"kind,key,seq,timestamp,thread\n")
-    assert b"\r" not in text
-    assert load_log(str(path)) == log
-
-
-def test_load_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(CorruptLogError):
-        load_log(str(path))
