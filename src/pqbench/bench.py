@@ -23,8 +23,10 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter
 from statistics import fmean, stdev
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .baseline import LockedHeap, SeqLsmQueue
 from .klsm import Klsm, rank_bound
@@ -242,7 +244,7 @@ def _throughput_worker(idx, handle, wl, barrier, stop, out, track):
             handle.insert(key)
             ins += 1
             if track is not None:
-                track[idx][0][key] += 1
+                track[idx][0].append(key)
         else:
             it = handle.delete_min()
             if it is None:
@@ -252,7 +254,7 @@ def _throughput_worker(idx, handle, wl, barrier, stop, out, track):
                 if wl.depend_on_deleted:
                     wl.note_deleted(it.key)
                 if track is not None:
-                    track[idx][1][it.key] += 1
+                    track[idx][1].append(it.key)
     out[idx] = (ins, dels, absent)
 
 
@@ -311,21 +313,26 @@ def _prefill(cfg, wls, handles, log=None, track=None):
             if log is not None:
                 log.append(OpRecord(INSERT, key, it.seq, len(log) + 1, tid))
             if track is not None:
-                track[tid][0][key] += 1
+                track[tid][0].append(key)
 
 
-def _drain(handle) -> Counter:
-    drained: Counter = Counter()
+def _drain(handle) -> List[int]:
+    drained: List[int] = []
     while True:
         it = handle.delete_min()
         if it is None:
             return drained
-        drained[it.key] += 1
+        drained.append(it.key)
 
 
-def _check_conservation(inserted: Counter, deleted: Counter, drained: Counter):
-    consumed = deleted + drained
-    if consumed != inserted:
+def _check_conservation(inserted: Iterable[int], deleted: Iterable[int],
+                        drained: Iterable[int]) -> None:
+    """Inserted keys must be the deleted plus the drained keys, as multisets:
+    both sides are counted and compared (``dict.__eq__``; counting leaves no
+    zero entries) in C, and the differences built only on a mismatch."""
+    inserted = Counter(inserted)
+    consumed = Counter(chain(deleted, drained))
+    if not dict.__eq__(consumed, inserted):
         lost = inserted - consumed
         fabricated = consumed - inserted
         raise SelfCheckError(
@@ -387,12 +394,13 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
 def run_throughput_rep(cfg: BenchConfig, rep: int) -> RepResult:
     track = None
     if cfg.checks_enabled:
-        track = [(Counter(), Counter()) for _ in range(cfg.threads)]
+        # per thread: the keys inserted, the keys deleted
+        track = [([], []) for _ in range(cfg.threads)]
     handles, result = _run_rep(cfg, rep, _throughput_worker, track, track=track)
     if track is not None:
-        inserted = sum((t[0] for t in track), Counter())
-        deleted = sum((t[1] for t in track), Counter())
-        _check_conservation(inserted, deleted, _drain(handles[0]))
+        _check_conservation(chain.from_iterable(t[0] for t in track),
+                            chain.from_iterable(t[1] for t in track),
+                            _drain(handles[0]))
     return result
 
 
@@ -417,9 +425,11 @@ def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
     stats = summarize_ranks(ranks, bound=cfg.bound)
 
     if cfg.checks_enabled:
-        inserted = Counter(r.key for r in log if r.kind == INSERT)
-        deleted = Counter(r.key for r in log if r.kind == DELETE)
-        _check_conservation(inserted, deleted, _drain(handles[0]))
+        keys = list(map(itemgetter(1), log))
+        kinds = list(map(itemgetter(0), log))
+        _check_conservation(compress(keys, map(eq, kinds, repeat(INSERT))),
+                            compress(keys, map(eq, kinds, repeat(DELETE))),
+                            _drain(handles[0]))
 
     return replace(result, rank_mean=stats.rank_mean, rank_std=stats.rank_std,
                    rank_max=stats.rank_max, violations=stats.violations)

@@ -100,8 +100,16 @@ def merge_sorted_live(
     are dropped.  An item that reached both inputs (a spied copy spilled
     next to its original) sorts next to itself, and only one copy is
     kept.  Inputs are never mutated, so the result can safely replace
-    blocks that snapshots still reference.
+    blocks that snapshots still reference.  Two tails of one item each,
+    the commonest merge, are compared directly with the same outcome.
     """
+    if len(items_a) == start_a + 1 and len(items_b) == start_b + 1:
+        x, y = items_a[start_a], items_b[start_b]
+        if x.taken:
+            return [] if y.taken else [y]
+        if y.taken or x is y:
+            return [x]
+        return [y, x] if y < x else [x, y]
     out = items_a[start_a:] + items_b[start_b:]
     out.sort()
     out = [it for it in out if not it.taken]

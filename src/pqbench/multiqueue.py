@@ -8,9 +8,9 @@ rarely wait on each other.
 """
 from __future__ import annotations
 
-import heapq
 import random
 import threading
+from heapq import heappop, heappush
 from typing import List, Optional
 
 from .core import Item, make_seq
@@ -45,32 +45,42 @@ class MultiQueue:
 
     def insert_item(self, it: Item, rng: random.Random) -> None:
         n = self.n
-        for _ in range(INSERT_ATTEMPTS):
-            i = rng.randrange(n)
-            if self.locks[i].acquire(blocking=False):
-                try:
-                    self._push(i, it)
-                finally:
-                    self.locks[i].release()
-                return
-        i = rng.randrange(n)
-        with self.locks[i]:
-            self._push(i, it)
-
-    def _push(self, i: int, it: Item) -> None:
-        h = self.heaps[i]
-        heapq.heappush(h, it)
-        self.tops[i] = h[0]
+        bits = n.bit_length()
+        getrandbits = rng.getrandbits
+        for attempt in range(INSERT_ATTEMPTS + 1):
+            # rng.randrange(n) inlined: the same draws, no Python frames
+            i = getrandbits(bits)
+            while i >= n:
+                i = getrandbits(bits)
+            lock = self.locks[i]
+            # try-locks first; the attempt after them waits for its lock
+            if not lock.acquire(attempt == INSERT_ATTEMPTS):
+                continue
+            try:
+                h = self.heaps[i]
+                heappush(h, it)
+                self.tops[i] = h[0]
+            finally:
+                lock.release()
+            return
 
     def delete_min(self, rng: random.Random) -> Optional[Item]:
         n = self.n
+        bits = n.bit_length()
+        bits1 = (n - 1).bit_length()
+        getrandbits = rng.getrandbits
         for _ in range(DELETE_ATTEMPTS):
             chosen_top = None
             if n == 1:
                 i = 0
             else:
-                i = rng.randrange(n)
-                j = rng.randrange(n - 1)
+                # rng.randrange(n) and rng.randrange(n - 1) inlined
+                i = getrandbits(bits)
+                while i >= n:
+                    i = getrandbits(bits)
+                j = getrandbits(bits1)
+                while j >= n - 1:
+                    j = getrandbits(bits1)
                 if j >= i:
                     j += 1
                 ti, tj = self.tops[i], self.tops[j]
@@ -79,7 +89,8 @@ class MultiQueue:
                 if ti is None or (tj is not None and tj < ti):
                     i, ti = j, tj
                 chosen_top = ti
-            if not self.locks[i].acquire(blocking=False):
+            lock = self.locks[i]
+            if not lock.acquire(False):
                 continue
             try:
                 h = self.heaps[i]
@@ -90,11 +101,11 @@ class MultiQueue:
                     # the top moved between sampling and locking, so the
                     # two-choice comparison was stale; re-sample
                     continue
-                it = heapq.heappop(h)
+                it = heappop(h)
                 self.tops[i] = h[0] if h else None
                 return it
             finally:
-                self.locks[i].release()
+                lock.release()
         return self._sweep()
 
     def _sweep(self) -> Optional[Item]:
@@ -108,7 +119,7 @@ class MultiQueue:
             if best is None:
                 return None
             h = self.heaps[best]
-            it = heapq.heappop(h)
+            it = heappop(h)
             self.tops[best] = h[0] if h else None
             return it
 

@@ -16,9 +16,9 @@ rank is two C ``sum`` slices plus one ``bytearray.count``: at most n/2048 +
 """
 from __future__ import annotations
 
-from itertools import chain, compress, count, islice
-from operator import gt, itemgetter
-from statistics import fmean, stdev
+from itertools import chain, compress, count, islice, repeat
+from math import sqrt
+from operator import gt, itemgetter, mul
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .workload import DELETE, INSERT
@@ -108,12 +108,17 @@ def replay_ranks(records: Sequence[OpRecord]) -> List[int]:
 
 
 def summarize_ranks(ranks: Sequence[int], bound: Optional[int] = None) -> RankStats:
-    if not ranks:
+    """Count, mean, sample std, max and bound violations of integer ranks;
+    mean and variance come from exact integer sums taken in C."""
+    n = len(ranks)
+    if not n:
         return RankStats(0, 0.0, 0.0, 0, None if bound is None else 0)
-    mean = fmean(ranks)
-    std = stdev(ranks) if len(ranks) > 1 else 0.0
-    worst = max(ranks)
+    total = sum(ranks)
+    std = 0.0
+    if n > 1:
+        squares = sum(map(mul, ranks, ranks))
+        std = sqrt((n * squares - total * total) / (n * (n - 1)))
     violations = None
     if bound is not None:
-        violations = sum(1 for r in ranks if r > bound)
-    return RankStats(len(ranks), mean, std, worst, violations)
+        violations = sum(map(gt, ranks, repeat(bound)))
+    return RankStats(n, total / n, std, max(ranks), violations)

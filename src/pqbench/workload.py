@@ -10,6 +10,7 @@ patterns continue seamlessly from prefill into the measured phase.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import List, Optional, Tuple
 
 KEY_KINDS = ("uniform32", "uniform16", "uniform8", "ascending", "descending",
@@ -18,7 +19,9 @@ WORKLOAD_KINDS = ("uniform", "split", "alternating")
 
 INSERT = "insert"
 DELETE = "delete"
+_DELETE_OP = (DELETE, None)
 
+UNIFORM_BITS = {"uniform32": 32, "uniform16": 16, "uniform8": 8}
 DRIFT_RANGE = 1 << 10          # offset range for ascending/descending
 DESCENDING_ORIGIN = 1 << 32
 
@@ -43,16 +46,15 @@ class KeyStream:
             self._tid_bits = (nthreads - 1).bit_length()
             self._tid = thread_id
             self._seen = set()
+        # a uniform key as one C call; None for the other kinds
+        self.draw = (partial(self.rng.getrandbits, UNIFORM_BITS[kind])
+                     if kind in UNIFORM_BITS else None)
 
     def key(self, opnum: int) -> int:
         kind = self.kind
         rng = self.rng
-        if kind == "uniform32":
-            return rng.getrandbits(32)
-        if kind == "uniform16":
-            return rng.getrandbits(16)
-        if kind == "uniform8":
-            return rng.getrandbits(8)
+        if self.draw is not None:
+            return self.draw()
         if kind == "ascending":
             return opnum + rng.randrange(DRIFT_RANGE)
         if kind == "descending":
@@ -104,14 +106,8 @@ class ThreadWorkload:
         self.depend_on_deleted = depend_on_deleted
         self.last_deleted: Optional[int] = None
         self.opnum = 0
-
-    def _is_insert(self) -> bool:
-        w = self.workload
-        if w == "uniform":
-            return self.op_rng.random() < self.insert_fraction
-        if w == "split":
-            return self.inserter_role
-        return self.opnum % 2 == 0  # alternating
+        # KeyStream.draw, or None where keys may drift from the last deleted
+        self._draw = None if depend_on_deleted else self.keys.draw
 
     def _next_key(self) -> int:
         if self.depend_on_deleted and self.last_deleted is not None:
@@ -119,18 +115,28 @@ class ThreadWorkload:
         return self.keys.key(self.opnum)
 
     def next(self) -> Tuple[str, Optional[int]]:
-        """The next operation: (INSERT, key) or (DELETE, None)."""
-        if self._is_insert():
-            op = (INSERT, self._next_key())
-        else:
-            op = (DELETE, None)
+        """The next operation: (INSERT, key) or (DELETE, None).  Uniform
+        keys are drawn in this frame, as :meth:`KeyStream.key` draws them."""
+        w = self.workload
+        if w == "uniform":
+            insert = self.op_rng.random() < self.insert_fraction
+        elif w == "split":
+            insert = self.inserter_role
+        else:  # alternating
+            insert = self.opnum % 2 == 0
+        if not insert:
+            self.opnum += 1
+            return _DELETE_OP
+        draw = self._draw
+        key = draw() if draw is not None else self._next_key()
         self.opnum += 1
-        return op
+        return INSERT, key
 
     def prefill_key(self) -> int:
         """An insert for the prefill phase; consumes one opnum like any op
         so drift and parity continue into the measured phase."""
-        key = self._next_key()
+        draw = self._draw
+        key = draw() if draw is not None else self._next_key()
         self.opnum += 1
         return key
 

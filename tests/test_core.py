@@ -313,6 +313,44 @@ def test_merge_sorted_live_matches_two_way_merge(ea, eb, start_a, start_b):
     assert [id(it) for it in got] == [id(it) for it in want]
 
 
+def pair_merged_three_ways(x, y):
+    """The one-item tails [x] and [y] merged by the pair fast path, by the
+    general path (forced by a taken item that sorts last) and by the
+    oracle, which keeps both copies of an item in both inputs, so its
+    second copy is dropped here."""
+    pad = Item((1 << 40, 1 << 40))
+    take(pad)
+    fast = merge_sorted_live([Item((-1, -1)), x], 1, [y], 0)
+    general = merge_sorted_live([x, pad], 0, [y], 0)
+    oracle = list(dict.fromkeys(two_way_merge([x], 0, [y], 0)))
+    return ([id(it) for it in fast], [id(it) for it in general],
+            [id(it) for it in oracle])
+
+
+@pytest.mark.parametrize("dead", ["none", "left", "right", "both"])
+@pytest.mark.parametrize("keys", [(5, 3), (3, 5), (4, 4)])
+def test_pair_merge_matches_general_path_and_oracle(keys, dead):
+    """Both orders of x and y (and a key tie broken by seq), each with
+    neither, one or both of them taken."""
+    x, y = Item((keys[0], 2)), Item((keys[1], 1))
+    if dead in ("left", "both"):
+        take(x)
+    if dead in ("right", "both"):
+        take(y)
+    fast, general, oracle = pair_merged_three_ways(x, y)
+    assert fast == general == oracle
+    assert len(fast) == (dead == "none") + (dead in ("none", "left", "right"))
+
+
+@pytest.mark.parametrize("dead", [False, True])
+def test_pair_merge_of_one_item_with_itself_keeps_one_copy(dead):
+    x = Item((5, 1))
+    if dead:
+        take(x)
+    fast, general, oracle = pair_merged_three_ways(x, x)
+    assert fast == general == oracle == ([] if dead else [id(x)])
+
+
 # ----------------------------------------------------------------------
 # block invariants
 

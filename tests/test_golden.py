@@ -1,12 +1,13 @@
 """Fixed-seed behaviour pinned to recorded digests.
 
-Speed work on the LSM path must not change which item any operation
-returns.  Each case drives a seeded single-thread mix of inserts and
-deletes on 16-bit keys, then drains the queue, and hashes the seq of every
-deletion in order (an absent delete hashes as a marker) together with the
-shared LSM's final ``version``.  A mismatch means an operation now
-returns a different item or the window is rebuilt at other times; a change
-meant to do that re-records the digests and says why.
+Speed work on the LSM and MultiQueue paths must not change which item
+any operation returns.  Each case drives a seeded single-thread mix of
+inserts and deletes on 16-bit keys, then drains the queue, and hashes the
+seq of every deletion in order (an absent delete hashes as a marker)
+together with the shared LSM's final ``version`` (0 for queues without
+one).  A mismatch means an operation now returns a different item or the
+window is rebuilt at other times; a change meant to do that re-records
+the digests and says why.
 
 The rank cases log a fixed-seed run by hand around direct queue calls, one
 log per handle, then merge and replay them and hash the rank list, so a
@@ -19,6 +20,7 @@ import pytest
 
 from pqbench.baseline import LockedHeap, SeqLsmQueue
 from pqbench.klsm import Klsm
+from pqbench.multiqueue import MultiQueue
 from pqbench.ranks import DELETE, INSERT, OpRecord, merge_logs, replay_ranks
 
 PREFILL = 3000
@@ -57,6 +59,11 @@ def klsm_case(k, threads):
     return q, [q.register(random.Random(100 + i)) for i in range(threads)]
 
 
+def multiq_case(threads, c):
+    q = MultiQueue(threads, c)
+    return q, [q.register(random.Random(100 + i)) for i in range(threads)]
+
+
 def seqlsm_case():
     q = SeqLsmQueue()
     return q, [q]
@@ -70,6 +77,10 @@ CASES = {
     # two handles driven from one thread: spies and publishes, no races
     "klsm-k16-two-handles": (lambda: klsm_case(16, 2), 44, "a620cb2e6a0e330e", 682),
     "seqlsm": (seqlsm_case, 45, "07df4ebfd2f4b2f6", 0),
+    # the heap draws: which heap an insert pushes to, which two a delete
+    # compares
+    "multiq-1x4": (lambda: multiq_case(1, 4), 48, "dac5561b92f02b6b", 0),
+    "multiq-2x4-two-handles": (lambda: multiq_case(2, 4), 49, "68d91798f3b4f8f9", 0),
 }
 
 

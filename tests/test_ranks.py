@@ -1,7 +1,9 @@
 """Rank replay: hand examples, brute-force and Fenwick oracles, log
 plumbing."""
 import heapq
+import math
 import random
+import statistics
 from itertools import chain
 
 import pytest
@@ -287,6 +289,17 @@ def test_summarize_without_bound():
 def test_summarize_empty():
     stats = summarize_ranks([], bound=5)
     assert stats.deletes == 0 and stats.violations == 0
+
+
+def test_summarize_matches_statistics_module():
+    rng = random.Random(5)
+    ranks = [1 + int(rng.expovariate(1 / 40)) for _ in range(20_000)]
+    ranks += [10**6, 1, 513, 514]
+    stats = summarize_ranks(ranks, bound=513)
+    assert stats.rank_mean == statistics.fmean(ranks)
+    assert math.isclose(stats.rank_std, statistics.stdev(ranks), rel_tol=1e-12)
+    assert stats.violations == sum(1 for r in ranks if r > 513)
+    assert stats.rank_max == 10**6
 
 
 def test_fenwick_matches_naive_prefix_sums():

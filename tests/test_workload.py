@@ -1,4 +1,5 @@
 """Workload generators: ranges, roles, determinism, prefill continuation."""
+import hashlib
 import math
 from collections import Counter
 
@@ -147,3 +148,56 @@ def test_same_seed_same_stream_per_thread():
     a = ThreadWorkload("uniform", "uniform16", seed=11, thread_id=2, nthreads=4)
     b = ThreadWorkload("uniform", "uniform16", seed=11, thread_id=2, nthreads=4)
     assert [a.next() for _ in range(200)] == [b.next() for _ in range(200)]
+
+
+# ----------------------------------------------------------------------
+# fixed-seed streams pinned to recorded digests
+
+def stream_digest(workload, keys, depend_on_deleted=False):
+    """Hash of the prefill keys and then the ops of threads 0 and 2 of 3.
+
+    Under ``split`` thread 0 only inserts and thread 2 only deletes.  With
+    ``depend_on_deleted`` every delete reports a key derived from the op
+    count, so the dependent key path is drawn from too.
+    """
+    h = hashlib.sha256()
+    for tid in (0, 2):
+        wl = ThreadWorkload(workload, keys, seed=21, thread_id=tid, nthreads=3,
+                            depend_on_deleted=depend_on_deleted)
+        for _ in range(300):
+            h.update(b"p%d," % wl.prefill_key())
+        for i in range(3000):
+            kind, key = wl.next()
+            h.update(f"{kind}:{key},".encode())
+            if depend_on_deleted and kind == DELETE:
+                wl.note_deleted(7 * i)
+    return h.hexdigest()[:16]
+
+
+STREAM_DIGESTS = {
+    # (workload, keys, depend_on_deleted): digest
+    ('uniform', 'uniform32', False): 'bbf08281c562830e',
+    ('uniform', 'uniform16', False): '1768a202381108bb',
+    ('uniform', 'uniform8', False): '119bff1d2cdc2445',
+    ('uniform', 'ascending', False): '543a8b0a78f05b13',
+    ('uniform', 'descending', False): '6261ccc42fdba7f3',
+    ('uniform', 'unique32', False): '106046b3fcb1c541',
+    ('split', 'uniform32', False): '6c075ad4dda19b7d',
+    ('split', 'uniform16', False): '752a22a0a42f02ae',
+    ('split', 'uniform8', False): '19bfcc24b4de445a',
+    ('split', 'ascending', False): '3ca6cde07cd198d7',
+    ('split', 'descending', False): 'befa076724978914',
+    ('split', 'unique32', False): 'cd0a3d73285c73e2',
+    ('alternating', 'uniform32', False): '3fdc7473674e3219',
+    ('alternating', 'uniform16', False): '5d88a389dcaae94d',
+    ('alternating', 'uniform8', False): 'ef3110933681e077',
+    ('alternating', 'ascending', False): '41caf18117037a7e',
+    ('alternating', 'descending', False): '9b7cafb4e721718f',
+    ('alternating', 'unique32', False): '33a31a318e4de686',
+    ('uniform', 'uniform32', True): '13846eb1afe05e82',
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_DIGESTS))
+def test_fixed_seed_stream_matches_recorded_digest(case):
+    assert stream_digest(*case) == STREAM_DIGESTS[case]
