@@ -34,9 +34,6 @@ class SeqLsmQueue:
     def delete_min(self) -> Optional[Item]:
         return self.lsm.delete_min()
 
-    def live_count(self) -> int:
-        return sum(1 for _ in self.lsm.live_items())
-
     def live_items(self) -> List[Item]:
         return list(self.lsm.live_items())
 
@@ -64,10 +61,6 @@ class LockedHeap:
             if not self._heap:
                 return None
             return heapq.heappop(self._heap)
-
-    def live_count(self) -> int:
-        with self._lock:
-            return len(self._heap)
 
     def live_items(self) -> List[Item]:
         with self._lock:

@@ -75,7 +75,7 @@ class BenchConfig:
     mode: str = "throughput"
     insert_fraction: float = 0.5
     depend_on_deleted: bool = False
-    self_check: Optional[bool] = None    # None: on in quality mode only
+    self_check: bool = False    # throughput mode only; quality always checks
     max_log_events: int = MAX_LOG_EVENTS
 
     def validate(self) -> None:
@@ -97,8 +97,10 @@ class BenchConfig:
             raise ConfigError("seqlsm is single-threaded; use --threads 1")
         if self.prefill < 0:
             raise ConfigError("prefill must be >= 0")
-        if self.duration_s <= 0:
-            raise ConfigError("duration must be positive")
+        # nan fails both comparisons; past TIMEOUT_MAX, Event.wait overflows
+        if not 0 < self.duration_s <= threading.TIMEOUT_MAX:
+            raise ConfigError("duration must be positive and at most "
+                              f"{threading.TIMEOUT_MAX:.0f} s")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
         if not 0.0 <= self.insert_fraction <= 1.0:
@@ -112,12 +114,6 @@ class BenchConfig:
         if self.queue in ("globallock", "seqlsm"):
             return 1
         return None
-
-    @property
-    def checks_enabled(self) -> bool:
-        if self.self_check is None:
-            return self.mode == "quality"
-        return self.self_check
 
 
 def make_queue(cfg: BenchConfig):
@@ -393,7 +389,7 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
 
 def run_throughput_rep(cfg: BenchConfig, rep: int) -> RepResult:
     track = None
-    if cfg.checks_enabled:
+    if cfg.self_check:
         # per thread: the keys inserted, the keys deleted
         track = [([], []) for _ in range(cfg.threads)]
     handles, result = _run_rep(cfg, rep, _throughput_worker, track, track=track)
@@ -424,12 +420,11 @@ def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
     ranks = replay_ranks(log)
     stats = summarize_ranks(ranks, bound=cfg.bound)
 
-    if cfg.checks_enabled:
-        keys = list(map(itemgetter(1), log))
-        kinds = list(map(itemgetter(0), log))
-        _check_conservation(compress(keys, map(eq, kinds, repeat(INSERT))),
-                            compress(keys, map(eq, kinds, repeat(DELETE))),
-                            _drain(handles[0]))
+    keys = list(map(itemgetter(1), log))
+    kinds = list(map(itemgetter(0), log))
+    _check_conservation(compress(keys, map(eq, kinds, repeat(INSERT))),
+                        compress(keys, map(eq, kinds, repeat(DELETE))),
+                        _drain(handles[0]))
 
     return replace(result, rank_mean=stats.rank_mean, rank_std=stats.rank_std,
                    rank_max=stats.rank_max, violations=stats.violations)

@@ -16,6 +16,9 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 SEQ_THREAD_SHIFT = 48
 
+# locks in a ClaimTable; a power of two, so an item's lock is seq & (n - 1)
+CLAIM_LOCKS = 64
+
 
 def make_seq(thread_id: int, counter: int) -> int:
     """Pack a per-thread counter into a globally unique sequence number."""
@@ -68,11 +71,9 @@ class ClaimTable:
 
     __slots__ = ("_locks", "_mask")
 
-    def __init__(self, stripes: int = 64):
-        if stripes & (stripes - 1):
-            raise ValueError("stripes must be a power of two")
-        self._locks = [threading.Lock() for _ in range(stripes)]
-        self._mask = stripes - 1
+    def __init__(self) -> None:
+        self._locks = [threading.Lock() for _ in range(CLAIM_LOCKS)]
+        self._mask = CLAIM_LOCKS - 1
 
     def try_claim(self, item: Item) -> bool:
         if item.taken:
@@ -238,9 +239,6 @@ class Lsm:
         self.blocks: List[Block] = []
         # sum of block occupancies, kept by every op that changes them
         self.size = 0
-
-    def __len__(self) -> int:
-        return self.size
 
     def insert(self, item: Item) -> None:
         self.size += 1 - place(self.blocks, Block(1, [item]))

@@ -5,8 +5,11 @@ publishes an immutable snapshot of its block list after each structural
 change; a one-thread group, which has nobody to spy, publishes nothing.
 A thread whose local queue runs dry copies ("spies") another thread's
 published snapshot instead of stealing; the shared claim table makes
-delivery at-most-once even though copies duplicate items.  Returned
-items are only guaranteed minimal among the calling thread's items.
+delivery at-most-once even though copies duplicate items.  A handle
+hands out nothing itself: :meth:`DlsmHandle.peek` names the smallest
+local item, and a caller that wins that item in the claim table drops it
+with :meth:`DlsmHandle.consume`.  A peeked item is only guaranteed
+minimal among the calling thread's items.
 """
 from __future__ import annotations
 
@@ -21,11 +24,11 @@ Snapshot = Tuple[Block, ...]
 class DlsmShared:
     """Registered handles and published snapshots for a thread group."""
 
-    def __init__(self, threads: int, claims: Optional[ClaimTable] = None):
+    def __init__(self, threads: int, claims: ClaimTable):
         if threads < 1:
             raise ValueError("threads must be >= 1")
         self.nthreads = threads
-        self.claims = claims if claims is not None else ClaimTable()
+        self.claims = claims
         self.slots: List[Snapshot] = [() for _ in range(threads)]
         self.handles: List["DlsmHandle"] = []
         self._reg_lock = threading.Lock()
@@ -61,14 +64,6 @@ class DlsmHandle:
         self.local.insert(item)
         self.publish()
 
-    def delete_min(self) -> Optional[Item]:
-        it = self._take_local()
-        if it is not None:
-            return it
-        if self.spy() > 0:
-            return self._take_local()
-        return None
-
     def peek(self) -> Optional[Tuple[Block, Item]]:
         """Smallest live local entry, spying once if the local queue is dry.
 
@@ -87,21 +82,6 @@ class DlsmHandle:
         """Drop a block head that the caller just claimed via :meth:`peek`."""
         self.local.pop_head(blk)
         self.publish()
-
-    def _take_local(self) -> Optional[Item]:
-        local = self.local
-        claims = self.shared.claims
-        while True:
-            loc = local.peek_min()
-            if loc is None:
-                self.publish()
-                return None
-            blk, it = loc
-            won = claims.try_claim(it)
-            local.pop_head(blk)
-            self.publish()
-            if won:
-                return it
 
     def spy(self) -> int:
         """Copy the first victim snapshot with a live item into the local

@@ -36,8 +36,8 @@ class Klsm:
         self.k = k
         self.threads = threads
         self.claims = ClaimTable()
-        self.dlsm = DlsmShared(threads, claims=self.claims)
-        self.slsm = Slsm(k, claims=self.claims)
+        self.dlsm = DlsmShared(threads, self.claims)
+        self.slsm = Slsm(k, self.claims)
 
     def register(self, rng: Optional[random.Random] = None) -> "KlsmHandle":
         """Hand out a per-thread handle; call once from each worker."""
@@ -57,9 +57,6 @@ class Klsm:
             out.update(dict.fromkeys(handle.local.live_items()))
         out.update(dict.fromkeys(self.slsm.live_items()))
         return list(out)
-
-    def live_count(self) -> int:
-        return len(self.live_items())
 
 
 class KlsmHandle:

@@ -125,10 +125,6 @@ class MultiQueue:
 
     # ------------------------------------------------------------------
 
-    def live_count(self) -> int:
-        with self._all_locks():
-            return sum(len(h) for h in self.heaps)
-
     def live_items(self) -> List[Item]:
         with self._all_locks():
             return [it for h in self.heaps for it in h]

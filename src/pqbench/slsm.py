@@ -73,11 +73,11 @@ def _scan_window(blocks, k):
 class Slsm:
     """Globally shared, relaxation-bounded priority queue."""
 
-    def __init__(self, k: int, claims: Optional[ClaimTable] = None):
+    def __init__(self, k: int, claims: ClaimTable):
         if k < 0:
             raise ValueError("k must be >= 0")
         self.k = k
-        self.claims = claims if claims is not None else ClaimTable()
+        self.claims = claims
         self._lock = threading.Lock()
         self._state = _State((), (), 0)
 
@@ -150,15 +150,6 @@ class Slsm:
                     return it
             self._rebuild_from(s)
 
-    def delete_min(self, rng) -> Optional[Item]:
-        claims = self.claims
-        while True:
-            it = self.peek_candidate(rng)
-            if it is None:
-                return None
-            if claims.try_claim(it):
-                return it
-
     # ------------------------------------------------------------------
     # introspection (tests, draining)
 
@@ -173,6 +164,3 @@ class Slsm:
                 if not it.taken:
                     out[it] = None
         return list(out)
-
-    def live_count(self) -> int:
-        return len(self.live_items())

@@ -114,7 +114,7 @@ def test_seq_queue_live_count():
     for i in range(10):
         q.insert(i)
     q.delete_min()
-    assert q.live_count() == 9
+    assert len(q.live_items()) == 9
     assert sorted(it.key for it in q.live_items()) == list(range(1, 10))
 
 

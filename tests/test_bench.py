@@ -43,6 +43,9 @@ def cfg(**kw):
     dict(prefill=-1),
     dict(duration_s=0.0),
     dict(duration_s=-1.0),
+    dict(duration_s=math.nan),
+    dict(duration_s=math.inf),
+    dict(duration_s=1e300),
     dict(reps=0),
     dict(insert_fraction=1.5),
 ])
@@ -61,13 +64,6 @@ def test_bound_per_queue():
     assert cfg(queue="globallock").bound == 1
     assert cfg(queue="seqlsm").bound == 1
     assert cfg(queue="multiq").bound is None
-
-
-def test_self_check_defaults_to_quality_mode_only():
-    assert not cfg(mode="throughput").checks_enabled
-    assert cfg(mode="quality").checks_enabled
-    assert cfg(mode="throughput", self_check=True).checks_enabled
-    assert not cfg(mode="quality", self_check=False).checks_enabled
 
 
 def test_make_queue_kinds():
@@ -166,14 +162,14 @@ def test_prefill_populates_queue():
     c = cfg(queue="klsm", k=16, threads=2, prefill=500)
     queue, wls, handles = _build_run(c, 0)
     _prefill(c, wls, handles)
-    assert queue.live_count() == 500
+    assert len(queue.live_items()) == 500
 
 
 def test_prefill_split_workload_uses_inserters_only():
     c = cfg(queue="globallock", threads=4, workload="split", prefill=100)
     queue, wls, handles = _build_run(c, 0)
     _prefill(c, wls, handles)
-    assert queue.live_count() == 100
+    assert len(queue.live_items()) == 100
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +325,14 @@ def test_conservation_names_lost_and_fabricated_counts():
 
 @pytest.mark.parametrize("run", [run_throughput_rep, run_quality_rep])
 def test_self_check_catches_a_dropped_item(monkeypatch, run):
+    """Quality mode always checks conservation; throughput mode only when
+    ``self_check`` is set."""
     monkeypatch.setattr(bench, "make_queue", lambda c: _StubQueue())
-    c = cfg(prefill=10, self_check=True)
+    if run is run_throughput_rep:
+        run(cfg(prefill=10), 0)    # unchecked: the drop goes unnoticed
+        c = cfg(prefill=10, self_check=True)
+    else:
+        c = cfg(prefill=10, mode="quality")
     with pytest.raises(SelfCheckError):
         run(c, 0)
 

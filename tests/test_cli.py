@@ -60,6 +60,17 @@ def test_invalid_config_exits_2():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("duration", ["nan", "inf", "1e300"])
+def test_non_finite_or_huge_duration_exits_2(monkeypatch, duration):
+    def must_not_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_benchmark", must_not_run)
+    with pytest.raises(SystemExit) as e:
+        main(["--duration-s", duration, "--reps", "1"])
+    assert e.value.code == 2
+
+
 def test_k_with_other_queue_warns_and_is_ignored(capsys):
     cfg = config_from_args(parse(["--queue", "multiq", "--k", "7"]))
     err = capsys.readouterr().err

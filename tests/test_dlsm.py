@@ -6,8 +6,12 @@ import threading
 import pytest
 
 import pqbench.core as core
-from pqbench.core import Item, make_seq
+from pqbench.core import ClaimTable, Item, make_seq
 from pqbench.dlsm import DlsmShared
+
+
+def group(threads):
+    return DlsmShared(threads, ClaimTable())
 
 
 def fill(handle, keys):
@@ -15,17 +19,32 @@ def fill(handle, keys):
         handle.insert(Item((k, make_seq(handle.owner, i))))
 
 
+def delete_min(handle):
+    """What ``KlsmHandle.delete_min`` does with the local part: peek, win
+    the item in the claim table, then consume it; a lost claim peeks
+    again."""
+    claims = handle.shared.claims
+    while True:
+        loc = handle.peek()
+        if loc is None:
+            return None
+        blk, it = loc
+        if claims.try_claim(it):
+            handle.consume(blk)
+            return it
+
+
 def drain(handle):
     out = []
     while True:
-        it = handle.delete_min()
+        it = delete_min(handle)
         if it is None:
             return out
         out.append(it)
 
 
 def test_register_assigns_distinct_slots():
-    shared = DlsmShared(3)
+    shared = group(3)
     owners = [shared.register().owner for _ in range(3)]
     assert sorted(owners) == [0, 1, 2]
     with pytest.raises(RuntimeError):
@@ -33,13 +52,13 @@ def test_register_assigns_distinct_slots():
 
 
 def test_single_thread_matches_heap_oracle():
-    shared = DlsmShared(1)
+    shared = group(1)
     h = shared.register()
     rng = random.Random(11)
     oracle = []
     for i in range(2000):
         if oracle and rng.random() < 0.45:
-            got = h.delete_min()
+            got = delete_min(h)
             assert (got.key, got.seq) == heapq.heappop(oracle)
         else:
             key = rng.getrandbits(12)
@@ -50,7 +69,7 @@ def test_single_thread_matches_heap_oracle():
 
 
 def test_locality_before_any_spy():
-    shared = DlsmShared(2)
+    shared = group(2)
     h0, h1 = shared.register(), shared.register()
     fill(h0, [1, 3, 5])
     fill(h1, [2, 4, 6])
@@ -59,41 +78,41 @@ def test_locality_before_any_spy():
 
 
 def test_delete_returns_local_min_not_global():
-    shared = DlsmShared(2)
+    shared = group(2)
     h0, h1 = shared.register(), shared.register()
     fill(h0, [4, 8])
     fill(h1, [1])
-    assert h0.delete_min().key == 4
+    assert delete_min(h0).key == 4
 
 
 def test_spy_copies_victim_when_local_empty():
-    shared = DlsmShared(2)
+    shared = group(2)
     h0, h1 = shared.register(), shared.register()
     fill(h1, [7, 9])
-    assert h0.delete_min().key == 7
+    assert delete_min(h0).key == 7
 
 
 def test_all_empty_returns_none():
-    shared = DlsmShared(2)
+    shared = group(2)
     h0, _ = shared.register(), shared.register()
-    assert h0.delete_min() is None
+    assert delete_min(h0) is None
 
 
 def test_spy_with_single_thread_copies_nothing():
-    shared = DlsmShared(1)
+    shared = group(1)
     h = shared.register()
     assert h.spy() == 0
 
 
 def test_spy_reports_victim_item_count():
-    shared = DlsmShared(2)
+    shared = group(2)
     h0, h1 = shared.register(), shared.register()
     fill(h1, [10, 20, 30, 40, 50])
     assert h0.spy() == 5
 
 
 def test_consecutive_spies_copy_identical_snapshot():
-    shared = DlsmShared(3)
+    shared = group(3)
     h0, h1, h2 = (shared.register() for _ in range(3))
     fill(h0, [3, 1, 4, 1, 5])
     first = sorted((it.key, it.seq) for it in h1.local.live_items()) if h1.spy() else []
@@ -102,13 +121,13 @@ def test_consecutive_spies_copy_identical_snapshot():
 
 
 def test_published_snapshots_satisfy_block_invariants():
-    shared = DlsmShared(2)
+    shared = group(2)
     h0, _ = shared.register(), shared.register()
     rng = random.Random(5)
     for i in range(500):
         h0.insert(Item((rng.getrandbits(10), make_seq(0, i))))
         if rng.random() < 0.3:
-            h0.delete_min()
+            delete_min(h0)
     for blk in shared.slots[0]:
         blk.check()
 
@@ -116,14 +135,14 @@ def test_published_snapshots_satisfy_block_invariants():
 def test_published_snapshot_blocks_never_change():
     """Pops and spills after publishing build new blocks; the blocks a
     spying thread may be reading keep their head, capacity and items."""
-    shared = DlsmShared(2)
+    shared = group(2)
     h0, _ = shared.register(), shared.register()
     fill(h0, range(7))               # blocks of capacity 4, 2 and 1
     snap = shared.slots[0]
     before = [(blk.head, blk.capacity, blk.items, list(blk.items))
               for blk in snap]
     for _ in range(3):
-        assert h0.delete_min() is not None
+        assert delete_min(h0) is not None
     h0.local.spill_largest()
     h0.publish()
     assert shared.slots[0] is not snap
@@ -136,16 +155,16 @@ def test_published_snapshot_blocks_never_change():
 
 def test_spy_skips_fully_consumed_snapshots():
     """A stale all-dead snapshot must not hide victims further along."""
-    shared = DlsmShared(3)
+    shared = group(3)
     h0, h1, h2 = (shared.register() for _ in range(3))
     fill(h1, [1, 2, 3])
     drain(h1)        # h1's published snapshot may retain dead items
     fill(h2, [42])
-    assert h0.delete_min().key == 42
+    assert delete_min(h0).key == 42
 
 
 def test_claims_prevent_double_delivery_after_spy():
-    shared = DlsmShared(2)
+    shared = group(2)
     h0, h1 = shared.register(), shared.register()
     fill(h0, range(100))
     # h1 copies everything h0 published, then both race to delete
@@ -158,7 +177,7 @@ def test_claims_prevent_double_delivery_after_spy():
 def test_concurrent_hammer_conserves_items():
     nthreads = 4
     per_thread = 300
-    shared = DlsmShared(nthreads)
+    shared = group(nthreads)
     handles = [shared.register() for _ in range(nthreads)]
     got = [[] for _ in range(nthreads)]
     barrier = threading.Barrier(nthreads)
@@ -173,7 +192,7 @@ def test_concurrent_hammer_conserves_items():
                 h.insert(Item((rng.getrandbits(16), make_seq(idx, inserted))))
                 inserted += 1
             else:
-                it = h.delete_min()
+                it = delete_min(h)
                 if it is not None:
                     got[idx].append(it)
 
@@ -190,24 +209,24 @@ def test_concurrent_hammer_conserves_items():
 
 
 def test_spy_memoizes_dead_snapshots_until_republish():
-    shared = DlsmShared(2)
+    shared = group(2)
     a, b = shared.register(), shared.register()
     fill(b, [1, 2])
-    assert a.delete_min().key == 1
-    assert a.delete_min().key == 2
-    assert a.delete_min() is None
+    assert delete_min(a).key == 1
+    assert delete_min(a).key == 2
+    assert delete_min(a) is None
     assert 1 in a._dead_snaps          # b's snapshot proven fully consumed
-    assert a.delete_min() is None      # served by the memo, not a rescan
+    assert delete_min(a) is None      # served by the memo, not a rescan
     b.insert(Item((3, make_seq(1, 2))))  # republish replaces the snapshot
-    assert a.delete_min().key == 3
+    assert delete_min(a).key == 3
 
 
 def test_one_thread_group_publishes_nothing():
     """With one thread no spy can read a snapshot, so none is built."""
-    shared = DlsmShared(1)
+    shared = group(1)
     h = shared.register()
     fill(h, [3, 1, 2])
-    assert h.delete_min().key == 1
+    assert delete_min(h).key == 1
     assert shared.slots == [()]
     assert [it.key for it in drain(h)] == [2, 3]
 
@@ -226,7 +245,7 @@ def test_kept_size_matches_block_occupancy_after_every_op(monkeypatch):
         return dropped
 
     monkeypatch.setattr(core, "place", counting_place)
-    shared = DlsmShared(2)
+    shared = group(2)
     handles = [shared.register(), shared.register()]
     counters = [0, 0]
     copied = 0
@@ -238,7 +257,7 @@ def test_kept_size_matches_block_occupancy_after_every_op(monkeypatch):
             h.insert(Item((rng.getrandbits(8), make_seq(h.owner, counters[h.owner]))))
             counters[h.owner] += 1
         elif r < 0.7:
-            h.delete_min()
+            delete_min(h)
         elif r < 0.88:
             # another thread claims one of this handle's live items
             live = list(h.local.live_items())
@@ -249,7 +268,7 @@ def test_kept_size_matches_block_occupancy_after_every_op(monkeypatch):
         else:
             h.local.spill_largest()
         for g in handles:
-            assert g.local.size == len(g.local) == sum(
+            assert g.local.size == sum(
                 blk.occupancy for blk in g.local.blocks)
     assert copied > 0
     assert any(drops)

@@ -55,7 +55,7 @@ def test_large_k_keeps_shared_part_empty():
     h = q.register(random.Random(0))
     for i in range(1000):
         h.insert(i)
-    assert q.slsm.live_count() == 0
+    assert not q.slsm.live_items()
     assert h.dlsm.local.size == 1000
 
 
@@ -130,10 +130,10 @@ def test_live_count_tracks_inserts_and_deletes():
     h = q.register(random.Random(0))
     for i in range(20):
         h.insert(i)
-    assert q.live_count() == 20
+    assert len(q.live_items()) == 20
     for _ in range(5):
         h.delete_min()
-    assert q.live_count() == 15
+    assert len(q.live_items()) == 15
 
 
 def test_live_count_reads_local_parts_without_snapshots():
@@ -144,8 +144,8 @@ def test_live_count_reads_local_parts_without_snapshots():
     for i in range(20):
         h.insert(i)
     assert q.dlsm.slots == [()]
-    assert q.slsm.live_count() > 0
-    assert q.live_count() == 20
+    assert q.slsm.live_items()
+    assert len(q.live_items()) == 20
 
 
 def test_live_count_counts_spied_copies_once():
@@ -156,10 +156,39 @@ def test_live_count_counts_spied_copies_once():
     # b's local part is empty, so it copies a's snapshot before deleting
     assert b.delete_min().key == 0
     assert b.dlsm.local.size == 29
-    assert q.live_count() == 29
+    assert len(q.live_items()) == 29
     for i in range(30, 40):
         b.insert(i)
-    assert q.live_count() == 39
+    assert len(q.live_items()) == 39
+
+
+def test_lost_claim_peeks_again_and_returns_the_next_item():
+    """Another claimant wins the local head between this delete's peek and
+    its claim; the delete must peek again and hand out the next item."""
+    q = Klsm(k=8, threads=1)        # nothing spills: every item stays local
+    h = q.register(random.Random(0))
+    for key in range(5):
+        h.insert(key)
+    local = h.dlsm.local
+    raced = []
+    peek_candidate = q.slsm.peek_candidate
+
+    def racing_peek(rng):
+        if not raced:
+            _, head = local.peek_min()
+            assert q.claims.try_claim(head)
+            raced.append(head)
+        return peek_candidate(rng)
+
+    q.slsm.peek_candidate = racing_peek
+    got = h.delete_min()
+    assert [it.key for it in raced] == [0]
+    assert got.key == 1 and got is not raced[0]
+    assert local.size == sum(blk.occupancy for blk in local.blocks)
+    rest = drain(h)
+    assert [it.key for it in rest] == [2, 3, 4]
+    assert all(it is not raced[0] for it in rest)
+    assert local.size == sum(blk.occupancy for blk in local.blocks) == 0
 
 
 def test_concurrent_hammer_conserves_and_progresses():

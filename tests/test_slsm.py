@@ -12,6 +12,10 @@ from pqbench.klsm import Klsm
 from pqbench.slsm import Slsm, _scan_window
 
 
+def shared(k):
+    return Slsm(k, ClaimTable())
+
+
 def batch(keys, tid=0, start_seq=0, capacity=None):
     its = sorted((Item((k, make_seq(tid, start_seq + i))) for i, k in enumerate(keys)),
                  key=lambda it: (it.key, it.seq))
@@ -23,17 +27,27 @@ def batch(keys, tid=0, start_seq=0, capacity=None):
     return Block(cap, its)
 
 
+def delete_min(s, rng):
+    """What ``KlsmHandle.delete_min`` does with the shared part: draw a
+    window candidate and win it in the claim table; a lost claim draws
+    again."""
+    while True:
+        it = s.peek_candidate(rng)
+        if it is None or s.claims.try_claim(it):
+            return it
+
+
 def drain(s, rng):
     out = []
     while True:
-        it = s.delete_min(rng)
+        it = delete_min(s, rng)
         if it is None:
             return out
         out.append(it)
 
 
 def test_k0_always_returns_exact_minimum():
-    s = Slsm(0)
+    s = shared(0)
     rng = random.Random(3)
     keys = [rng.getrandbits(12) for _ in range(200)]
     for i, k in enumerate(keys):
@@ -43,18 +57,18 @@ def test_k0_always_returns_exact_minimum():
 
 
 def test_empty_returns_none():
-    assert Slsm(4).delete_min(random.Random(0)) is None
+    assert delete_min(shared(4), random.Random(0)) is None
 
 
 def test_batch_into_empty_window_is_smallest_of_batch():
-    s = Slsm(2)
+    s = shared(2)
     s.insert_batch(batch([50, 10, 40, 20, 30, 60, 70, 80]))
     window = sorted(it.key for it in s.window_items())
     assert window == [10, 20, 30]   # min(k+1, n) smallest
 
 
 def test_window_covers_all_when_small():
-    s = Slsm(10)
+    s = shared(10)
     s.insert_batch(batch([5, 1, 3]))
     assert sorted(it.key for it in s.window_items()) == [1, 3, 5]
 
@@ -129,7 +143,7 @@ def test_window_pick_draws_what_randrange_draws():
     takes the same indices and leaves the generator in the same state."""
     rng, twin = random.Random(77), random.Random(77)
     for n in range(1, 601):
-        s = Slsm(n - 1)
+        s = shared(n - 1)
         members = [Item((key, key)) for key in range(n)]
         s.insert_batch(fitted(members))
         for _ in range(3):
@@ -140,13 +154,13 @@ def test_window_pick_draws_what_randrange_draws():
 def test_window_holds_an_item_in_two_blocks_once():
     """A live item in two shared blocks (a spied copy spilled apart from
     its original) takes one window slot and counts once."""
-    s = Slsm(3)
+    s = shared(3)
     a = [Item((k, make_seq(0, k))) for k in (1, 2, 3, 4)]
     s.insert_batch(fitted(a))
     s.insert_batch(fitted([a[1], Item((9, 9))]))
     window = s.window_items()
     assert window == a
-    assert s.live_count() == 5
+    assert len(s.live_items()) == 5
     assert sorted(s.live_items()) == a + [Item((9, 9))]
 
 
@@ -168,7 +182,7 @@ def test_shared_blocks_stay_more_than_half_full():
 
 
 def test_version_stable_when_batch_sorts_above_window():
-    s = Slsm(3)
+    s = shared(3)
     s.insert_batch(batch([1, 2, 3, 4]))
     v = s.version
     s.insert_batch(batch([100, 200, 300, 400], start_seq=50))
@@ -177,7 +191,7 @@ def test_version_stable_when_batch_sorts_above_window():
 
 
 def test_version_bumps_when_batch_undercuts_window():
-    s = Slsm(3)
+    s = shared(3)
     s.insert_batch(batch([10, 20, 30, 40]))
     v = s.version
     s.insert_batch(batch([5], start_seq=50))
@@ -186,14 +200,14 @@ def test_version_bumps_when_batch_undercuts_window():
 
 
 def test_new_global_minimum_joins_window():
-    s = Slsm(2)
+    s = shared(2)
     s.insert_batch(batch([10, 20, 30, 40]))
     s.insert_batch(batch([1], start_seq=50))
     assert min(it.key for it in s.window_items()) == 1
 
 
 def test_window_is_downward_closed_prefix():
-    s = Slsm(5)
+    s = shared(5)
     rng = random.Random(9)
     seq = 0
     for _ in range(30):
@@ -208,7 +222,7 @@ def test_window_is_downward_closed_prefix():
 
 def test_deletion_skips_at_most_k_single_threaded():
     k = 4
-    s = Slsm(k)
+    s = shared(k)
     rng = random.Random(17)
     seq = 0
     for _ in range(40):
@@ -217,7 +231,7 @@ def test_deletion_skips_at_most_k_single_threaded():
         seq += 100
     while True:
         live = sorted((it.key, it.seq) for it in s.live_items())
-        it = s.delete_min(rng)
+        it = delete_min(s, rng)
         if it is None:
             assert not live
             break
@@ -226,10 +240,10 @@ def test_deletion_skips_at_most_k_single_threaded():
 
 def test_window_exhaustion_rebuilds_next_smallest():
     k = 2
-    s = Slsm(k)
+    s = shared(k)
     s.insert_batch(batch(list(range(1, 9))))   # keys 1..8
     rng = random.Random(1)
-    got = {s.delete_min(rng).key for _ in range(3)}   # the whole window 1..3
+    got = {delete_min(s, rng).key for _ in range(3)}   # the whole window 1..3
     assert got == {1, 2, 3}
     # the next pick rebuilds the exhausted window over the survivors
     assert s.peek_candidate(rng).key in {4, 5, 6}
@@ -241,7 +255,7 @@ def test_uniform_pick_chi_square():
     k = 4
     trials = 10_000
     counts = Counter()
-    s = Slsm(k)
+    s = shared(k)
     s.insert_batch(batch([1, 2, 3, 4, 5, 6, 7, 8, 9, 10]))
     rng = random.Random(123)
     for _ in range(trials):
@@ -256,7 +270,7 @@ def test_uniform_pick_chi_square():
 
 
 def test_conservation_across_batches_and_deletes():
-    s = Slsm(3)
+    s = shared(3)
     rng = random.Random(29)
     inserted = []
     seq = 0
@@ -268,7 +282,7 @@ def test_conservation_across_batches_and_deletes():
             seq += 10
             inserted.extend(keys)
         else:
-            it = s.delete_min(rng)
+            it = delete_min(s, rng)
             if it is not None:
                 got.append(it.key)
     got.extend(it.key for it in drain(s, rng))
@@ -278,7 +292,7 @@ def test_conservation_across_batches_and_deletes():
 def test_insert_batch_of_the_same_block_twice_keeps_one_copy():
     """A block spilled by its owner and again, as a spied copy, by
     another thread."""
-    s = Slsm(2)
+    s = shared(2)
     b = batch([1, 2, 2, 5, 8])
     s.insert_batch(b)
     s.insert_batch(b)
@@ -289,7 +303,7 @@ def test_insert_batch_of_the_same_block_twice_keeps_one_copy():
 
 
 def test_insert_batch_skips_dead_items():
-    s = Slsm(4)
+    s = shared(4)
     b = batch([1, 2, 3, 4])
     claims = ClaimTable()
     assert claims.try_claim(b.items[0]) and claims.try_claim(b.items[2])
@@ -300,7 +314,7 @@ def test_insert_batch_skips_dead_items():
 def test_concurrent_hammer_conserves_items():
     nthreads = 4
     per_thread = 50
-    s = Slsm(8)
+    s = shared(8)
     results = [[] for _ in range(nthreads)]
     barrier = threading.Barrier(nthreads)
 
@@ -310,7 +324,7 @@ def test_concurrent_hammer_conserves_items():
         for b in range(per_thread):
             keys = [rng.getrandbits(12) for _ in range(3)]
             s.insert_batch(batch(keys, tid=idx, start_seq=b * 10))
-            it = s.delete_min(rng)
+            it = delete_min(s, rng)
             if it is not None:
                 results[idx].append(it)
 
