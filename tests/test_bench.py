@@ -325,16 +325,21 @@ def test_conservation_names_lost_and_fabricated_counts():
 
 @pytest.mark.parametrize("run", [run_throughput_rep, run_quality_rep])
 def test_self_check_catches_a_dropped_item(monkeypatch, run):
+    monkeypatch.setattr(bench, "make_queue", lambda c: _StubQueue())
+    c = cfg(prefill=10, self_check=True)
+    with pytest.raises(SelfCheckError):
+        run(c, 0)
+
+
+def test_self_check_defaults_to_quality_mode_only(monkeypatch):
     """Quality mode always checks conservation; throughput mode only when
     ``self_check`` is set."""
     monkeypatch.setattr(bench, "make_queue", lambda c: _StubQueue())
-    if run is run_throughput_rep:
-        run(cfg(prefill=10), 0)    # unchecked: the drop goes unnoticed
-        c = cfg(prefill=10, self_check=True)
-    else:
-        c = cfg(prefill=10, mode="quality")
+    run_throughput_rep(cfg(prefill=10), 0)    # unchecked: the drop passes
     with pytest.raises(SelfCheckError):
-        run(c, 0)
+        run_throughput_rep(cfg(prefill=10, self_check=True), 0)
+    with pytest.raises(SelfCheckError):
+        run_quality_rep(cfg(prefill=10, mode="quality"), 0)
 
 
 # ----------------------------------------------------------------------
