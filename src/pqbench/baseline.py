@@ -8,6 +8,7 @@ from __future__ import annotations
 import heapq
 import random
 import threading
+from itertools import count
 from typing import List, Optional
 
 from .core import Item, Lsm, make_seq
@@ -18,7 +19,7 @@ class SeqLsmQueue:
 
     def __init__(self):
         self.lsm = Lsm()
-        self._next_seq = 0
+        self._seqs = count(make_seq(0, 0))
 
     def register(self, rng: Optional[random.Random] = None) -> "SeqLsmQueue":
         return self
@@ -26,8 +27,7 @@ class SeqLsmQueue:
     def insert(self, key: int, value=None) -> Item:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")
-        it = Item((key, make_seq(0, self._next_seq)))
-        self._next_seq += 1
+        it = Item((key, next(self._seqs)))
         self.lsm.insert(it)
         return it
 
@@ -42,7 +42,7 @@ class LockedHeap:
     def __init__(self):
         self._lock = threading.Lock()
         self._heap: List[Item] = []
-        self._next_seq = 0
+        self._seqs = count(make_seq(0, 0))
 
     def register(self, rng: Optional[random.Random] = None) -> "LockedHeapHandle":
         return LockedHeapHandle(self)
@@ -51,8 +51,7 @@ class LockedHeap:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")
         with self._lock:
-            it = Item((key, make_seq(0, self._next_seq)))
-            self._next_seq += 1
+            it = Item((key, next(self._seqs)))
             heapq.heappush(self._heap, it)
         return it
 

@@ -95,6 +95,8 @@ class BenchConfig:
             raise ConfigError("threads must be >= 1")
         if self.queue == "seqlsm" and self.threads != 1:
             raise ConfigError("seqlsm is single-threaded; use --threads 1")
+        if self.workload == "split" and self.threads < 2:
+            raise ConfigError("split needs --threads >= 2 to delete at all")
         if self.prefill < 0:
             raise ConfigError("prefill must be >= 0")
         # nan fails both comparisons; past TIMEOUT_MAX, Event.wait overflows
@@ -157,7 +159,6 @@ class Summary:
 @dataclass
 class BenchResult:
     config: BenchConfig
-    bound: Optional[int]
     reps: List[RepResult]
     summary: Summary
 
@@ -433,7 +434,7 @@ def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
 # ----------------------------------------------------------------------
 # full runs
 
-def aggregate(cfg: BenchConfig, results: Sequence[RepResult]) -> Summary:
+def aggregate(results: Sequence[RepResult]) -> Summary:
     mops_mean, mops_ci = mean_ci95([r.mops_per_sec for r in results])
     summary = Summary(
         reps=len(results),
@@ -460,4 +461,4 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
     rep_fn: Callable[[BenchConfig, int], RepResult]
     rep_fn = run_quality_rep if cfg.mode == "quality" else run_throughput_rep
     results = [rep_fn(cfg, rep) for rep in range(cfg.reps)]
-    return BenchResult(cfg, cfg.bound, results, aggregate(cfg, results))
+    return BenchResult(cfg, results, aggregate(results))

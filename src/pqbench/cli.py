@@ -83,13 +83,13 @@ def csv_rows(result: BenchResult) -> List[List[str]]:
         rows.append(base + [
             str(r.repetition), str(r.ops_total), str(r.mops_per_sec),
             _cell(r.rank_mean), _cell(r.rank_std), _cell(r.rank_max),
-            _cell(result.bound), _cell(r.violations), "", "",
+            _cell(cfg.bound), _cell(r.violations), "", "",
         ])
     s = result.summary
     rows.append(base + [
         "mean", str(s.ops_total_mean), str(s.mops_mean),
         _cell(s.rank_mean), _cell(s.rank_std_mean), _cell(s.rank_max),
-        _cell(result.bound), _cell(s.violations),
+        _cell(cfg.bound), _cell(s.violations),
         _cell(s.mops_ci95), _cell(s.rank_mean_ci95),
     ])
     return rows
@@ -103,7 +103,7 @@ def emit_report(result: BenchResult, path: Optional[str] = None,
         f"queue={cfg.queue} k={cfg.k} c={cfg.c} threads={cfg.threads} "
         f"workload={cfg.workload} keys={cfg.keys} prefill={cfg.prefill} "
         f"duration={cfg.duration_s}s reps={cfg.reps} mode={cfg.mode} "
-        f"bound={'-' if result.bound is None else result.bound}",
+        f"bound={'-' if cfg.bound is None else cfg.bound}",
         file=out,
     )
     hdr = (f"{'rep':>5} {'ops_total':>12} {'mops/s':>10} {'rank_mean':>10} "
@@ -153,7 +153,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     if result.summary.violations:
         print(f"error: {result.summary.violations} deletions exceeded the "
-              f"rank bound {result.bound}", file=sys.stderr)
+              f"rank bound {result.config.bound}", file=sys.stderr)
         return 3
     return 0
 

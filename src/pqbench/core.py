@@ -14,6 +14,8 @@ from collections import namedtuple
 from operator import is_, lt
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+# seq = thread << 48 | counter; counters run unchecked: 2**48 inserts take
+# ~7 years at 0.8 us each (LockedHeap, the fastest queue, CPython 3.11)
 SEQ_THREAD_SHIFT = 48
 
 # locks in a ClaimTable; a power of two, so an item's lock is seq & (n - 1)
@@ -65,8 +67,8 @@ class TakenItem(Item):
 class ClaimTable:
     """Striped test-and-set over item ``taken`` flags.
 
-    One table must be shared by every component that can reach the same
-    items, otherwise two claimants could both win.
+    Every claim on items one queue can reach must go through the same
+    table, otherwise two claimants could both win.
     """
 
     __slots__ = ("_locks", "_mask")

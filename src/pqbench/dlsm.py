@@ -4,10 +4,10 @@ Every registered thread owns a private :class:`~pqbench.core.Lsm` and
 publishes an immutable snapshot of its block list after each structural
 change; a one-thread group, which has nobody to spy, publishes nothing.
 A thread whose local queue runs dry copies ("spies") another thread's
-published snapshot instead of stealing; the shared claim table makes
-delivery at-most-once even though copies duplicate items.  A handle
-hands out nothing itself: :meth:`DlsmHandle.peek` names the smallest
-local item, and a caller that wins that item in the claim table drops it
+published snapshot instead of stealing.  A handle claims and hands out
+nothing; it only reads ``taken`` flags.  :meth:`DlsmHandle.peek` names
+the smallest local item, and a caller that wins that item in its own
+claim table, which makes delivery at-most-once across copies, drops it
 with :meth:`DlsmHandle.consume`.  A peeked item is only guaranteed
 minimal among the calling thread's items.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from typing import List, Optional, Tuple
 
-from .core import Block, ClaimTable, Item, Lsm, compact, place
+from .core import Block, Item, Lsm, compact, place
 
 Snapshot = Tuple[Block, ...]
 
@@ -24,11 +24,10 @@ Snapshot = Tuple[Block, ...]
 class DlsmShared:
     """Registered handles and published snapshots for a thread group."""
 
-    def __init__(self, threads: int, claims: ClaimTable):
+    def __init__(self, threads: int):
         if threads < 1:
             raise ValueError("threads must be >= 1")
         self.nthreads = threads
-        self.claims = claims
         self.slots: List[Snapshot] = [() for _ in range(threads)]
         self.handles: List["DlsmHandle"] = []
         self._reg_lock = threading.Lock()

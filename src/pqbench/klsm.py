@@ -4,18 +4,19 @@ Each thread owns a small local merge structure capped at k items; overflow
 spills whole blocks into the shared structure, whose deletions are drawn
 from a window of the k+1 globally smallest.  A deletion peeks both parts
 and claims the smaller head (ties go to the local part, which is cheaper).
-Every item an operation can observe passes through one shared claim table,
-so an item is handed out exactly once no matter how many stale copies of
-it exist in spied snapshots or spilled blocks.
+The composed queue holds the one claim table; the parts only read
+``taken``.  So an item is handed out exactly once no matter how many stale
+copies of it exist in spied snapshots or spilled blocks.
 
 With P threads, a deletion returns one of the k*P + 1 smallest items.
 """
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from itertools import count
+from typing import List, Optional
 
-from .core import Block, ClaimTable, Item, make_seq
+from .core import ClaimTable, Item, make_seq
 from .dlsm import DlsmShared
 from .slsm import Slsm
 
@@ -29,23 +30,15 @@ class Klsm:
     """Shared state plus a registry of per-thread handles."""
 
     def __init__(self, k: int = 256, threads: int = 1):
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
+        # the parts check k and threads, k first
+        self.slsm = Slsm(k)
+        self.dlsm = DlsmShared(threads)
         self.k = k
-        self.threads = threads
         self.claims = ClaimTable()
-        self.dlsm = DlsmShared(threads, self.claims)
-        self.slsm = Slsm(k, self.claims)
 
     def register(self, rng: Optional[random.Random] = None) -> "KlsmHandle":
         """Hand out a per-thread handle; call once from each worker."""
         return KlsmHandle(self, self.dlsm.register(), rng or random.Random())
-
-    @property
-    def bound(self) -> int:
-        return rank_bound(self.k, self.threads)
 
     def live_items(self) -> List[Item]:
         """Each live item once, across the local parts and the shared part.
@@ -62,19 +55,18 @@ class Klsm:
 class KlsmHandle:
     """One thread's view of the queue.  Not thread-safe; one per thread."""
 
-    __slots__ = ("q", "dlsm", "rng", "_counter")
+    __slots__ = ("q", "dlsm", "rng", "_seqs")
 
     def __init__(self, q: Klsm, dlsm_handle, rng: random.Random):
         self.q = q
         self.dlsm = dlsm_handle
         self.rng = rng
-        self._counter = 0
+        self._seqs = count(make_seq(dlsm_handle.owner, 0))
 
     def insert(self, key: int, value=None) -> Item:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")
-        it = Item((key, make_seq(self.dlsm.owner, self._counter)))
-        self._counter += 1
+        it = Item((key, next(self._seqs)))
         self.dlsm.insert(it)
         local = self.dlsm.local
         while local.size > self.q.k:

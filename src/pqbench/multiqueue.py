@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import threading
 from heapq import heappop, heappush
+from itertools import count
 from typing import List, Optional
 
 from .core import Item, make_seq
@@ -25,8 +26,6 @@ class MultiQueue:
             raise ValueError("threads must be >= 1")
         if c < 1:
             raise ValueError("c must be >= 1")
-        self.c = c
-        self.threads = threads
         self.n = c * threads
         self.locks = [threading.Lock() for _ in range(self.n)]
         self.heaps: List[List[Item]] = [[] for _ in range(self.n)]
@@ -150,19 +149,17 @@ class _MultiLock:
 class MqHandle:
     """Per-thread front end carrying the sequence counter and random stream."""
 
-    __slots__ = ("q", "owner", "rng", "_counter")
+    __slots__ = ("q", "rng", "_seqs")
 
     def __init__(self, q: MultiQueue, owner: int, rng: random.Random):
         self.q = q
-        self.owner = owner
         self.rng = rng
-        self._counter = 0
+        self._seqs = count(make_seq(owner, 0))
 
     def insert(self, key: int, value=None) -> Item:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")
-        it = Item((key, make_seq(self.owner, self._counter)))
-        self._counter += 1
+        it = Item((key, next(self._seqs)))
         self.q.insert_item(it, self.rng)
         return it
 

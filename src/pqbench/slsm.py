@@ -6,8 +6,8 @@ window member uniformly at random, so a deletion skips at most k smaller
 items.  The whole structure is an immutable state record swapped by an
 atomic compare-and-swap (emulated with a short mutex, since Python has no
 native CAS); writers that lose the race retry against the fresh state.
-Items die through the shared claim table, never by structural removal, so
-readers of stale states are always safe.
+Items die through the caller's claim table, never by structural removal;
+this part only reads ``taken``, so readers of stale states are always safe.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import heapq
 import threading
 from typing import List, Optional, Tuple
 
-from .core import Block, ClaimTable, Item, compact, fitted, place
+from .core import Block, Item, compact, fitted, place
 # unused here, but kept bound: tracers patch merge_sorted_live in this module
 from .core import merge_sorted_live  # noqa: F401
 
@@ -73,11 +73,10 @@ def _scan_window(blocks, k):
 class Slsm:
     """Globally shared, relaxation-bounded priority queue."""
 
-    def __init__(self, k: int, claims: ClaimTable):
+    def __init__(self, k: int):
         if k < 0:
             raise ValueError("k must be >= 0")
         self.k = k
-        self.claims = claims
         self._lock = threading.Lock()
         self._state = _State((), (), 0)
 

@@ -98,7 +98,6 @@ class ThreadWorkload:
         if not 0.0 <= insert_fraction <= 1.0:
             raise ValueError("insert_fraction must be within [0, 1]")
         self.workload = workload
-        self.thread_id = thread_id
         self.keys = KeyStream(keydist, seed, thread_id, nthreads)
         self.op_rng = stream(seed, thread_id, "ops")
         self.insert_fraction = insert_fraction

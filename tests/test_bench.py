@@ -48,6 +48,7 @@ def cfg(**kw):
     dict(duration_s=1e300),
     dict(reps=0),
     dict(insert_fraction=1.5),
+    dict(workload="split", threads=1),
 ])
 def test_validate_rejects(bad):
     with pytest.raises(ConfigError):
@@ -68,7 +69,7 @@ def test_bound_per_queue():
 
 def test_make_queue_kinds():
     q = make_queue(cfg(queue="klsm", k=64, threads=3))
-    assert isinstance(q, Klsm) and q.k == 64 and q.threads == 3
+    assert isinstance(q, Klsm) and q.k == 64 and q.dlsm.nthreads == 3
     q = make_queue(cfg(queue="multiq", threads=8, c=4))
     assert isinstance(q, MultiQueue) and q.n == 32
     assert isinstance(make_queue(cfg(queue="globallock")), LockedHeap)
@@ -81,6 +82,27 @@ def test_insert_takes_no_payload(queue):
     assert h.insert(5, None).key == 5
     with pytest.raises(TypeError):
         h.insert(5, "payload")
+
+
+@pytest.mark.parametrize("make,args,per_handle", [
+    (Klsm, (16, 2), True),
+    (MultiQueue, (2, 4), True),
+    (LockedHeap, (), False),
+    (SeqLsmQueue, (), False),
+], ids=["klsm", "multiq", "globallock", "seqlsm"])
+def test_seq_layout_per_queue_kind(make, args, per_handle):
+    """Per-handle kinds give handle t's i-th insert ``make_seq(t, i)``; the
+    one-heap kinds give the n-th insert of the queue ``make_seq(0, n)``.
+    Inserts alternate between two handles, so a counter that is shared or
+    reset by mistake fails here by name."""
+    queue = make(*args)
+    handles = [queue.register(random.Random(t)) for t in range(2)]
+    for i in range(40):     # 40 per handle: klsm with k=16 spills
+        for t, h in enumerate(handles):
+            want = make_seq(t, i) if per_handle else make_seq(0, 2 * i + t)
+            got = h.insert(1000 - i).seq
+            assert got == want, (f"handle {t}, insert {i}: seq {got:#x}, "
+                                 f"want {want:#x}")
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +375,7 @@ def rep(i, mops, rank_mean=None, violations=None):
 
 
 def test_aggregate_throughput_only():
-    s = aggregate(cfg(), [rep(0, 1.0), rep(1, 3.0)])
+    s = aggregate([rep(0, 1.0), rep(1, 3.0)])
     assert s.reps == 2
     assert s.mops_mean == 2.0
     assert s.mops_ci95 == pytest.approx(T975_DF1, rel=1e-9)
@@ -361,13 +383,13 @@ def test_aggregate_throughput_only():
 
 
 def test_aggregate_single_rep_interval_absent():
-    s = aggregate(cfg(), [rep(0, 2.0)])
+    s = aggregate([rep(0, 2.0)])
     assert s.mops_ci95 is None
 
 
 def test_aggregate_sums_violations():
-    s = aggregate(cfg(), [rep(0, 1.0, rank_mean=2.0, violations=1),
-                          rep(1, 1.0, rank_mean=4.0, violations=2)])
+    s = aggregate([rep(0, 1.0, rank_mean=2.0, violations=1),
+                   rep(1, 1.0, rank_mean=4.0, violations=2)])
     assert s.rank_mean == 3.0
     assert s.violations == 3
     assert s.rank_max == 4
@@ -375,7 +397,7 @@ def test_aggregate_sums_violations():
 
 def test_run_benchmark_end_to_end():
     res = run_benchmark(cfg(reps=2, duration_s=0.05))
-    assert res.bound == 1
+    assert res.config.bound == 1
     assert len(res.reps) == 2
     assert res.summary.reps == 2
     assert res.summary.mops_mean > 0

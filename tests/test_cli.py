@@ -60,6 +60,19 @@ def test_invalid_config_exits_2():
     assert e.value.code == 2
 
 
+def test_split_with_one_thread_exits_2(monkeypatch, capsys):
+    """One split thread only inserts, so no delete and no rank exists."""
+    def must_not_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_benchmark", must_not_run)
+    with pytest.raises(SystemExit) as e:
+        main(["--workload", "split", "--threads", "1", "--mode", "quality",
+              "--prefill", "100", "--duration-s", "0.05", "--reps", "2"])
+    assert e.value.code == 2
+    assert "split needs --threads >= 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("duration", ["nan", "inf", "1e300"])
 def test_non_finite_or_huge_duration_exits_2(monkeypatch, duration):
     def must_not_run(cfg):
@@ -169,18 +182,18 @@ def test_bound_violations_exit_3(monkeypatch, capsys):
                       duration_s=0.05, reps=1, mode="quality")
     bad_rep = RepResult(0, 100, 50, 50, 0, 0.05, 1.0, rank_mean=5.0,
                         rank_std=1.0, rank_max=9, violations=4)
-    fake = BenchResult(cfg, cfg.bound, [bad_rep], aggregate(cfg, [bad_rep]))
+    fake = BenchResult(cfg, [bad_rep], aggregate([bad_rep]))
     monkeypatch.setattr(cli, "run_benchmark", lambda c: fake)
     code = main(["--queue", "klsm", "--k", "1", "--duration-s", "0.05",
                  "--reps", "1", "--mode", "quality"])
     assert code == 3
-    assert "exceeded the rank bound" in capsys.readouterr().err
+    assert "exceeded the rank bound 2" in capsys.readouterr().err
 
 
 def test_csv_rows_requires_results():
     cfg = BenchConfig()
     rep0 = RepResult(0, 10, 5, 5, 0, 1.0, 1.0)
-    res = BenchResult(cfg, cfg.bound, [rep0], aggregate(cfg, [rep0]))
+    res = BenchResult(cfg, [rep0], aggregate([rep0]))
     assert len(csv_rows(res)) == 3
     with pytest.raises(ValueError):
-        csv_rows(BenchResult(cfg, cfg.bound, [], aggregate(cfg, [rep0])))
+        csv_rows(BenchResult(cfg, [], aggregate([rep0])))

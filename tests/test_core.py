@@ -246,7 +246,7 @@ def test_merges_go_through_the_module_global(monkeypatch):
         lsm.insert(it)
     assert merged == [2]
     merged.clear()
-    s = Slsm(4, ClaimTable())
+    s = Slsm(4)
     s.insert_batch(Block(2, items([1, 4])))
     s.insert_batch(Block(2, items([2, 3], start_seq=10)))
     assert merged == [4]

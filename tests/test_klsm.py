@@ -26,10 +26,13 @@ def test_rank_bound_values():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    # the parts check their own arguments, the shared part's k first
+    with pytest.raises(ValueError, match="k must be >= 0"):
         Klsm(-1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
         Klsm(4, 0)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        Klsm(-1, 0)
 
 
 def test_fifth_insert_spills_largest_block():

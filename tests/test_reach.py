@@ -6,20 +6,30 @@ kind, at 1 and 2 threads, run under ``sys.setprofile`` and
 ``threading.setprofile``; every function defined in the queue modules must
 then have been entered, apart from the reference views and hooks named in
 ``ALLOWED``.
+
+A static guard (stdlib ``ast`` only) covers what a profile cannot see: every
+attribute a class stores as ``self.<name> = ...`` must be loaded somewhere in
+the package, and every imported name must be used, apart from the bindings
+marked ``# noqa: F401`` that tracers patch.
 """
+import ast
 import importlib
+import os
 import sys
 import threading
 
+import pqbench
 from pqbench.bench import (QUEUE_KINDS, BenchConfig, run_conservation,
                            run_quality_rep, run_throughput_rep)
 
 MODULES = ("core", "dlsm", "slsm", "klsm", "multiqueue", "baseline")
+STATIC_MODULES = MODULES + ("bench", "workload")
+SRC = os.path.dirname(pqbench.__file__)
 
 # reference views that tests read, and entry points that tools patch or call
 ALLOWED_NAMES = {"live_items", "check", "__repr__"}
 ALLOWED = {
-    "Klsm.bound", "Slsm.version", "Slsm.window_items",
+    "Slsm.version", "Slsm.window_items",
     "LockedHeap.insert", "LockedHeap.delete_min", "SeqLsmQueue.register",
 }
 
@@ -84,3 +94,202 @@ def test_every_queue_layer_function_is_reached_by_the_harness():
         if code not in seen and q not in ALLOWED
         and q.rsplit(".", 1)[-1] not in ALLOWED_NAMES)
     assert not unreached, f"only tests reach: {unreached}"
+
+
+# ----------------------------------------------------------------------
+# static guard: stored state is read, imported names are used
+
+def _class_named(node, classes):
+    """The package class an annotation or constructor call names, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value if node.value in classes else None
+    if isinstance(node, ast.Name):
+        return node.id if node.id in classes else None
+    return None
+
+
+class _Types:
+    """Static types of the receivers the package itself makes obvious:
+    ``self``, parameters annotated with a package class, attributes set
+    from those or from a package constructor, and local aliases of them.
+    Any other receiver stays unknown."""
+
+    def __init__(self, trees):
+        self.classes = {n.name for t in trees.values() for n in ast.walk(t)
+                        if isinstance(n, ast.ClassDef)}
+        self.attrs = {}
+        for cls, fn in self.methods(trees):
+            env = self.params(fn, cls)
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and _is_self_attr(node.targets[0])):
+                    t = self.of(node.value, env)
+                    if t:
+                        self.attrs[cls, node.targets[0].attr] = t
+
+    @staticmethod
+    def methods(trees):
+        for tree in trees.values():
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for fn in cls.body:
+                        if isinstance(fn, ast.FunctionDef):
+                            yield cls.name, fn
+
+    def params(self, fn, cls):
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        env = {a.arg: _class_named(a.annotation, self.classes) for a in args}
+        if cls is not None and args and args[0].arg == "self":
+            env["self"] = cls
+        return env
+
+    def env(self, fn, cls):
+        env = self.params(fn, cls)
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                env[node.targets[0].id] = self.of(node.value, env)
+        return env
+
+    def of(self, expr, env):
+        if isinstance(expr, ast.Name):
+            return env.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            return self.attrs.get((self.of(expr.value, env), expr.attr))
+        if isinstance(expr, ast.Call):
+            return _class_named(expr.func, self.classes)
+        return None
+
+
+def _is_self_attr(node):
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self")
+
+
+class _Loads(ast.NodeVisitor):
+    """Attribute loads as (class, name) where the receiver's class is
+    known, and as bare names where it is not."""
+
+    def __init__(self, types):
+        self.types = types
+        self.cls = None
+        self.env = {}
+        self.typed = set()
+        self.untyped = set()
+
+    def visit_ClassDef(self, node):
+        outer, self.cls = self.cls, node.name
+        self.generic_visit(node)
+        self.cls = outer
+
+    def visit_FunctionDef(self, node):
+        outer, self.env = self.env, self.types.env(node, self.cls)
+        self.generic_visit(node)
+        self.env = outer
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            t = self.types.of(node.value, self.env)
+            if t is None:
+                self.untyped.add(node.attr)
+            else:
+                self.typed.add((t, node.attr))
+        self.generic_visit(node)
+
+
+def unread_state(trees, guarded):
+    """``Class.name`` for every ``self.name`` stored in a ``guarded``
+    module that no module in ``trees`` loads.  A load through an unknown
+    receiver counts for every class, so only a provably unread attribute
+    is reported."""
+    types = _Types(trees)
+    loads = _Loads(types)
+    for tree in trees.values():
+        loads.visit(tree)
+    stored = {(cls, node.attr)
+              for mod in guarded for cls, fn in types.methods({mod: trees[mod]})
+              for node in ast.walk(fn)
+              if _is_self_attr(node) and isinstance(node.ctx, ast.Store)}
+    return sorted(f"{cls}.{name}" for cls, name in stored
+                  if (cls, name) not in loads.typed
+                  and name not in loads.untyped)
+
+
+def unused_imports(source, tree):
+    """Imported names the module never loads, outside ``# noqa: F401``."""
+    lines = source.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                out.append(name)
+    return out
+
+
+def package_sources():
+    out = {}
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as f:
+                out[fname[:-3]] = f.read()
+    return out
+
+
+def test_every_stored_attribute_is_read():
+    sources = package_sources()
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    unread = unread_state(trees, STATIC_MODULES)
+    assert not unread, f"stored but never read: {unread}"
+
+
+def test_every_imported_name_is_used():
+    sources = package_sources()
+    unused = {m: unused_imports(sources[m], ast.parse(sources[m]))
+              for m in STATIC_MODULES}
+    unused = {m: names for m, names in unused.items() if names}
+    assert not unused, f"imported but never used: {unused}"
+
+
+GUARD_SAMPLE = """
+from typing import List, Tuple
+from .core import merge_sorted_live  # noqa: F401
+
+
+class Table:
+    def __init__(self):
+        self.size = 0
+        self.spare = 0
+
+
+class Part:
+    def __init__(self, table: Table):
+        self.table = table
+        self.size = 0
+
+
+class Whole:
+    def __init__(self):
+        self.table = Table()
+        self.part = Part(self.table)
+
+    def read(self) -> List[int]:
+        part = self.part
+        return [self.table.size, part.size]
+"""
+
+
+def test_static_guard_flags_a_sample():
+    """Only ``Whole`` reads a ``table``, so the copy ``Part`` stores is
+    flagged although another class reads an attribute of that name."""
+    tree = ast.parse(GUARD_SAMPLE)
+    assert unread_state({"m": tree}, ["m"]) == ["Part.table", "Table.spare"]
+    assert unused_imports(GUARD_SAMPLE, tree) == ["Tuple"]
