@@ -73,10 +73,7 @@ class BenchConfig:
     reps: int = 30
     seed: int = 0
     mode: str = "throughput"
-    insert_fraction: float = 0.5
     depend_on_deleted: bool = False
-    self_check: bool = False    # throughput mode only; quality always checks
-    max_log_events: int = MAX_LOG_EVENTS
 
     def validate(self) -> None:
         if self.queue not in QUEUE_KINDS:
@@ -97,6 +94,9 @@ class BenchConfig:
             raise ConfigError("seqlsm is single-threaded; use --threads 1")
         if self.workload == "split" and self.threads < 2:
             raise ConfigError("split needs --threads >= 2 to delete at all")
+        if self.workload == "split" and self.depend_on_deleted:
+            raise ConfigError("--depend-on-deleted has no effect under split: "
+                              "its inserting threads never delete")
         if self.prefill < 0:
             raise ConfigError("prefill must be >= 0")
         # nan fails both comparisons; past TIMEOUT_MAX, Event.wait overflows
@@ -105,8 +105,6 @@ class BenchConfig:
                               f"{threading.TIMEOUT_MAX:.0f} s")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
-        if not 0.0 <= self.insert_fraction <= 1.0:
-            raise ConfigError("insert fraction must be within [0, 1]")
 
     @property
     def bound(self) -> Optional[int]:
@@ -292,7 +290,7 @@ def _build_run(cfg: BenchConfig, rep: int):
     queue = make_queue(cfg)
     wls = [
         ThreadWorkload(cfg.workload, cfg.keys, seed, i, cfg.threads,
-                       cfg.insert_fraction, cfg.depend_on_deleted)
+                       depend_on_deleted=cfg.depend_on_deleted)
         for i in range(cfg.threads)
     ]
     handles = [queue.register(stream(seed, i, "queue")) for i in range(cfg.threads)]
@@ -344,7 +342,8 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
     Builds a fresh queue, prefills it, starts one thread per worker with
     ``args`` appended to its common arguments, opens the timed
     window at a barrier and closes it by setting ``stop``.  A worker that
-    raises stops the others and surfaces here as :class:`WorkerError`.
+    raises, or a thread that cannot start, stops the others and surfaces
+    here as :class:`WorkerError`.
     Returns the handles and the repetition's operation counts.
     """
     _, wls, handles = _build_run(cfg, rep)
@@ -354,19 +353,27 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
     out: List[Optional[Tuple[int, int, int]]] = [None] * cfg.threads
     errors: List[Tuple[int, BaseException]] = []
 
+    def fail(i: int, e: BaseException) -> None:
+        # the first entry is the cause; others broke on the barrier
+        errors.append((i, e))
+        stop.set()
+        barrier.abort()
+
     def run(i: int) -> None:
         try:
             worker(i, handles[i], wls[i], barrier, stop, out, *args)
         except BaseException as e:  # re-raised in the calling thread
-            # the first entry is the cause; others broke on the barrier
-            errors.append((i, e))
-            stop.set()
-            barrier.abort()
+            fail(i, e)
 
-    workers = [threading.Thread(target=run, args=(i,), daemon=True)
-               for i in range(cfg.threads)]
-    for w in workers:
-        w.start()
+    workers: List[threading.Thread] = []
+    for i in range(cfg.threads):
+        w = threading.Thread(target=run, args=(i,), daemon=True)
+        try:
+            w.start()
+        except RuntimeError as e:  # no thread left to start
+            fail(i, e)
+            break
+        workers.append(w)
     try:
         barrier.wait()
     except threading.BrokenBarrierError:
@@ -389,28 +396,27 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
 
 
 def run_throughput_rep(cfg: BenchConfig, rep: int) -> RepResult:
-    track = None
-    if cfg.self_check:
-        # per thread: the keys inserted, the keys deleted
-        track = [([], []) for _ in range(cfg.threads)]
-    handles, result = _run_rep(cfg, rep, _throughput_worker, track, track=track)
-    if track is not None:
-        _check_conservation(chain.from_iterable(t[0] for t in track),
-                            chain.from_iterable(t[1] for t in track),
-                            _drain(handles[0]))
-    return result
+    return _run_rep(cfg, rep, _throughput_worker, None)[1]
 
 
 def run_conservation(cfg: BenchConfig, rep: int = 0) -> RepResult:
     """Throughput-style run that tracks and verifies item conservation:
     inserted keys = deleted keys + keys drained afterwards, as multisets.
+    Tracking adds work to every operation, so its timings are not
+    comparable with those of :func:`run_throughput_rep`.
     """
-    return run_throughput_rep(replace(cfg, self_check=True), rep)
+    # per thread: the keys inserted, the keys deleted
+    track = [([], []) for _ in range(cfg.threads)]
+    handles, result = _run_rep(cfg, rep, _throughput_worker, track, track=track)
+    _check_conservation(chain.from_iterable(t[0] for t in track),
+                        chain.from_iterable(t[1] for t in track),
+                        _drain(handles[0]))
+    return result
 
 
 def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
     log: List[OpRecord] = []
-    cap = cfg.max_log_events
+    cap = MAX_LOG_EVENTS
     handles, result = _run_rep(cfg, rep, _quality_worker, log,
                                threading.Lock(), cap, log=log)
     if len(log) > cap:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import threading
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from itertools import count
 from typing import List, Optional
@@ -128,22 +129,15 @@ class MultiQueue:
         with self._all_locks():
             return [it for h in self.heaps for it in h]
 
+    @contextmanager
     def _all_locks(self):
-        return _MultiLock(self.locks)
-
-
-class _MultiLock:
-    def __init__(self, locks):
-        self.locks = locks
-
-    def __enter__(self):
         for lock in self.locks:
             lock.acquire()
-
-    def __exit__(self, *exc):
-        for lock in self.locks:
-            lock.release()
-        return False
+        try:
+            yield
+        finally:
+            for lock in self.locks:
+                lock.release()
 
 
 class MqHandle:

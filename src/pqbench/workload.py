@@ -90,17 +90,13 @@ class ThreadWorkload:
         seed: int,
         thread_id: int,
         nthreads: int,
-        insert_fraction: float = 0.5,
         depend_on_deleted: bool = False,
     ):
         if workload not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload: {workload!r}")
-        if not 0.0 <= insert_fraction <= 1.0:
-            raise ValueError("insert_fraction must be within [0, 1]")
         self.workload = workload
         self.keys = KeyStream(keydist, seed, thread_id, nthreads)
         self.op_rng = stream(seed, thread_id, "ops")
-        self.insert_fraction = insert_fraction
         self.inserter_role = thread_id in inserter_ids(workload, nthreads)
         self.depend_on_deleted = depend_on_deleted
         self.last_deleted: Optional[int] = None
@@ -118,7 +114,7 @@ class ThreadWorkload:
         keys are drawn in this frame, as :meth:`KeyStream.key` draws them."""
         w = self.workload
         if w == "uniform":
-            insert = self.op_rng.random() < self.insert_fraction
+            insert = self.op_rng.random() < 0.5    # a fair coin
         elif w == "split":
             insert = self.inserter_role
         else:  # alternating

@@ -2,8 +2,8 @@
 import math
 import random
 import statistics
+import threading
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -19,6 +19,7 @@ from pqbench.core import Item, make_seq
 from pqbench.klsm import Klsm
 from pqbench.multiqueue import MultiQueue
 from pqbench.ranks import INSERT, OpRecord
+from pqbench.workload import DELETE, ThreadWorkload
 
 
 def cfg(**kw):
@@ -26,6 +27,12 @@ def cfg(**kw):
                 reps=1, seed=42, workload="uniform", keys="uniform32")
     base.update(kw)
     return BenchConfig(**base)
+
+
+def deletes_only(monkeypatch):
+    """Every timed op of every thread becomes a delete; prefill still
+    inserts."""
+    monkeypatch.setattr(ThreadWorkload, "next", lambda self: (DELETE, None))
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +54,7 @@ def cfg(**kw):
     dict(duration_s=math.inf),
     dict(duration_s=1e300),
     dict(reps=0),
-    dict(insert_fraction=1.5),
+    dict(workload="split", threads=2, depend_on_deleted=True),
     dict(workload="split", threads=1),
 ])
 def test_validate_rejects(bad):
@@ -206,8 +213,9 @@ def test_throughput_rep_counts_operations():
     assert r.rank_mean is None
 
 
-def test_delete_only_run_reports_absent_deletes():
-    r = run_throughput_rep(cfg(insert_fraction=0.0, duration_s=0.05), 0)
+def test_delete_only_run_reports_absent_deletes(monkeypatch):
+    deletes_only(monkeypatch)
+    r = run_throughput_rep(cfg(duration_s=0.05), 0)
     assert r.inserts == 0
     assert r.deletes == 0
     assert r.absent_deletes > 0
@@ -247,10 +255,11 @@ def test_quality_rep_klsm_respects_bound():
     assert r.violations == 0
 
 
-def test_quality_rep_logs_prefill_inserts():
+def test_quality_rep_logs_prefill_inserts(monkeypatch):
     # no timed inserts: every delete consumes a prefill item, so the
     # replay only balances if prefill made it into the log
-    c = cfg(mode="quality", prefill=50, insert_fraction=0.0, duration_s=0.1)
+    deletes_only(monkeypatch)
+    c = cfg(mode="quality", prefill=50, duration_s=0.1)
     r = run_quality_rep(c, 0)
     assert r.inserts == 0
     assert r.deletes == 50
@@ -284,21 +293,23 @@ def test_quality_log_is_one_list_in_commit_order(monkeypatch):
     assert {rec.thread for rec in log[c.prefill:]} == {0, 1}
 
 
-def test_quality_rep_overflow():
-    c = cfg(mode="quality", duration_s=0.5, max_log_events=100)
+def test_quality_rep_overflow(monkeypatch):
+    monkeypatch.setattr(bench, "MAX_LOG_EVENTS", 100)
     with pytest.raises(LogOverflowError):
-        run_quality_rep(c, 0)
+        run_quality_rep(cfg(mode="quality", duration_s=0.5), 0)
 
 
-def test_quality_log_cap_counts_all_threads_and_prefill():
+def test_quality_log_cap_counts_all_threads_and_prefill(monkeypatch):
     # 600 prefill inserts plus at most 600 deletes fit a 1200-event cap,
     # however the two threads split the deletes between them
-    c = cfg(mode="quality", threads=2, prefill=600, insert_fraction=0.0,
-            duration_s=0.2, max_log_events=1200)
+    deletes_only(monkeypatch)
+    monkeypatch.setattr(bench, "MAX_LOG_EVENTS", 1200)
+    c = cfg(mode="quality", threads=2, prefill=600, duration_s=0.2)
     r = run_quality_rep(c, 0)
     assert r.deletes == 600
+    monkeypatch.setattr(bench, "MAX_LOG_EVENTS", 599)
     with pytest.raises(LogOverflowError):
-        run_quality_rep(replace(c, max_log_events=599), 0)
+        run_quality_rep(c, 0)
 
 
 class _StubQueue:
@@ -334,6 +345,26 @@ def test_worker_exception_surfaces_as_worker_error(monkeypatch, run):
     assert time.perf_counter() - t0 < 10.0
 
 
+def test_worker_that_cannot_start_surfaces_as_worker_error(monkeypatch):
+    """The second of two workers fails to start: the first is released
+    from the barrier and joined before the error surfaces."""
+    start = threading.Thread.start
+    calls = []
+
+    def start_once(self):
+        calls.append(self)
+        if len(calls) == 2:
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    with pytest.raises(WorkerError) as e:
+        run_throughput_rep(cfg(threads=2, duration_s=30.0), 0)
+    assert isinstance(e.value.__cause__, RuntimeError)
+    assert threading.active_count() == before
+
+
 def test_conservation_passes_when_every_key_is_accounted_for():
     bench._check_conservation(iter([7, 7, 3, 9, 7]), iter([7, 9]), [3, 7, 7])
 
@@ -345,21 +376,20 @@ def test_conservation_names_lost_and_fabricated_counts():
                             "2 items fabricated")
 
 
-@pytest.mark.parametrize("run", [run_throughput_rep, run_quality_rep])
+@pytest.mark.parametrize("run", [run_conservation, run_quality_rep])
 def test_self_check_catches_a_dropped_item(monkeypatch, run):
     monkeypatch.setattr(bench, "make_queue", lambda c: _StubQueue())
-    c = cfg(prefill=10, self_check=True)
     with pytest.raises(SelfCheckError):
-        run(c, 0)
+        run(cfg(prefill=10), 0)
 
 
 def test_self_check_defaults_to_quality_mode_only(monkeypatch):
-    """Quality mode always checks conservation; throughput mode only when
-    ``self_check`` is set."""
+    """Quality mode and ``run_conservation`` check conservation; a
+    throughput rep never does."""
     monkeypatch.setattr(bench, "make_queue", lambda c: _StubQueue())
     run_throughput_rep(cfg(prefill=10), 0)    # unchecked: the drop passes
     with pytest.raises(SelfCheckError):
-        run_throughput_rep(cfg(prefill=10, self_check=True), 0)
+        run_conservation(cfg(prefill=10), 0)
     with pytest.raises(SelfCheckError):
         run_quality_rep(cfg(prefill=10, mode="quality"), 0)
 

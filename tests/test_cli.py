@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, CSV report round trip."""
 import csv
+from dataclasses import fields
 
 import pytest
 
@@ -71,6 +72,32 @@ def test_split_with_one_thread_exits_2(monkeypatch, capsys):
               "--prefill", "100", "--duration-s", "0.05", "--reps", "2"])
     assert e.value.code == 2
     assert "split needs --threads >= 2" in capsys.readouterr().err
+
+
+def test_split_with_depend_on_deleted_exits_2(monkeypatch, capsys):
+    """Split's inserting threads never delete, so their keys cannot drift."""
+    def must_not_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_benchmark", must_not_run)
+    with pytest.raises(SystemExit) as e:
+        main(["--workload", "split", "--threads", "2", "--depend-on-deleted",
+              "--prefill", "100", "--duration-s", "0.05", "--reps", "1"])
+    assert e.value.code == 2
+    assert "no effect under split" in capsys.readouterr().err
+
+
+def test_every_config_field_is_a_cli_setting():
+    """A flag sets every field, so no setting exists that only code can
+    reach: with every flag away from its default, no field keeps its own."""
+    cfg = config_from_args(parse(
+        ["--queue", "multiq", "--k", "7", "--c", "3", "--threads", "5",
+         "--workload", "alternating", "--keys", "uniform16",
+         "--prefill", "11", "--duration-s", "0.5", "--reps", "2",
+         "--seed", "9", "--mode", "quality", "--depend-on-deleted"]))
+    kept = [f.name for f in fields(BenchConfig)
+            if getattr(cfg, f.name) == f.default]
+    assert kept == []
 
 
 @pytest.mark.parametrize("duration", ["nan", "inf", "1e300"])

