@@ -27,7 +27,7 @@ class SeqLsmQueue:
     def insert(self, key: int, value=None) -> Item:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")
-        it = Item((key, next(self._seqs)))
+        it = Item(key << 64 | next(self._seqs))
         self.lsm.insert(it)
         return it
 
@@ -51,7 +51,7 @@ class LockedHeap:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")
         with self._lock:
-            it = Item((key, next(self._seqs)))
+            it = Item(key << 64 | next(self._seqs))
             heapq.heappush(self._heap, it)
         return it
 

@@ -269,13 +269,14 @@ def _quality_worker(idx, handle, wl, barrier, stop, out, log, commit, cap):
             with commit:
                 it = handle.delete_min()
                 if it is not None:
-                    append(OpRecord(DELETE, it.key, it.seq, len(log) + 1, idx))
+                    key = it.key
+                    append(OpRecord(DELETE, key, it.seq, len(log) + 1, idx))
             if it is None:
                 absent += 1
             else:
                 dels += 1
                 if wl.depend_on_deleted:
-                    wl.note_deleted(it.key)
+                    wl.note_deleted(key)
         if len(log) > cap:  # unlocked read: one op a thread past the cap at most
             stop.set()
             break
@@ -297,7 +298,7 @@ def _build_run(cfg: BenchConfig, rep: int):
     return queue, wls, handles
 
 
-def _prefill(cfg, wls, handles, log=None, track=None):
+def _prefill(cfg: BenchConfig, wls, handles, log=None, track=None):
     ids = inserter_ids(cfg.workload, cfg.threads)
     shares = prefill_shares(cfg.prefill, len(ids))
     for tid, share in zip(ids, shares):

@@ -71,13 +71,19 @@ def _cell(x) -> str:
     return "" if x is None else str(x)
 
 
+def _used(cfg: BenchConfig):
+    """``(k, c)`` as the run used them: None for a queue that ignores one."""
+    return (cfg.k if cfg.queue == "klsm" else None,
+            cfg.c if cfg.queue == "multiq" else None)
+
+
 def csv_rows(result: BenchResult) -> List[List[str]]:
     """Header, one row per repetition, then a summary row."""
     if not result.reps:
         raise ValueError("no repetitions to report")
     cfg = result.config
-    base = [cfg.queue, str(cfg.k), str(cfg.c), str(cfg.threads), cfg.workload,
-            cfg.keys, str(cfg.prefill), str(cfg.duration_s)]
+    base = [cfg.queue, *map(_cell, _used(cfg)), str(cfg.threads),
+            cfg.workload, cfg.keys, str(cfg.prefill), str(cfg.duration_s)]
     rows = [list(CSV_FIELDS)]
     for r in result.reps:
         rows.append(base + [
@@ -99,8 +105,9 @@ def emit_report(result: BenchResult, path: Optional[str] = None,
                 out=None) -> None:
     out = out if out is not None else sys.stdout
     cfg = result.config
+    k, c = ("-" if x is None else x for x in _used(cfg))
     print(
-        f"queue={cfg.queue} k={cfg.k} c={cfg.c} threads={cfg.threads} "
+        f"queue={cfg.queue} k={k} c={c} threads={cfg.threads} "
         f"workload={cfg.workload} keys={cfg.keys} prefill={cfg.prefill} "
         f"duration={cfg.duration_s}s reps={cfg.reps} mode={cfg.mode} "
         f"bound={'-' if cfg.bound is None else cfg.bound}",

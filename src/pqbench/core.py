@@ -1,6 +1,6 @@
 """Core item model and the sequential merge-structured priority queue.
 
-Items are ordered as the tuple (key, seq), where seq is a unique insertion
+Items are ordered as the pair (key, seq), where seq is a unique insertion
 sequence number that makes the order total and replay deterministic.  The
 queue keeps its items in sorted blocks whose power-of-two capacities are
 pairwise distinct; inserting adds a singleton block and merges equal
@@ -10,12 +10,12 @@ Both operations are O(log n) amortised.
 from __future__ import annotations
 
 import threading
-from collections import namedtuple
 from operator import is_, lt
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-# seq = thread << 48 | counter; counters run unchecked: 2**48 inserts take
-# ~7 years at 0.8 us each (LockedHeap, the fastest queue, CPython 3.11)
+# seq = thread << 48 | counter, below 2**64 so it stays out of an item's key
+# bits; counters run unchecked: 2**48 inserts take ~8 years at 0.9 us each
+# (LockedHeap.insert, the fastest queue, CPython 3.11)
 SEQ_THREAD_SHIFT = 48
 
 # locks in a ClaimTable; a power of two, so an item's lock is seq & (n - 1)
@@ -26,19 +26,20 @@ def make_seq(thread_id: int, counter: int) -> int:
     """Pack a per-thread counter into a globally unique sequence number."""
     if counter >= (1 << SEQ_THREAD_SHIFT):
         raise OverflowError("per-thread insertion counter exhausted")
+    if thread_id >= 1 << (64 - SEQ_THREAD_SHIFT):
+        raise OverflowError("thread id does not fit in a 64-bit seq")
     return (thread_id << SEQ_THREAD_SHIFT) | counter
 
 
-# namedtuple's field accessors are C descriptors that read one tuple slot
-_Fields = namedtuple("_Fields", "key seq")
+class Item(int):
+    """A prioritised entry: the int ``key << 64 | seq``, built as
+    ``Item(key << 64 | seq)`` from an int key and a seq in
+    ``[0, 2**64)``.  Smaller means higher priority.
 
-
-class Item(tuple):
-    """A prioritised entry: the tuple ``(key, seq)``, built as
-    ``Item((key, seq))``.  Smaller means higher priority.
-
-    Being a tuple, an item compares, sorts and heap-orders in C.  Equality
-    is by value, which within one queue is identity because seq is unique.
+    Being an int, an item compares, sorts and heap-orders in C's integer
+    path, in the order of the tuple ``(key, seq)``.  Equality is by value,
+    which within one queue is identity because seq is unique.  ``key``
+    and ``seq`` are C-level shift and mask reads.
 
     ``taken`` is a one-shot consumption flag: once an item is handed to a
     caller it is dead everywhere, even if block snapshots still reference
@@ -48,8 +49,8 @@ class Item(tuple):
     """
 
     __slots__ = ()
-    key = _Fields.key
-    seq = _Fields.seq
+    key = property((64).__rrshift__)
+    seq = property(((1 << 64) - 1).__rand__)
     taken = False
 
     def __repr__(self) -> str:
@@ -80,7 +81,7 @@ class ClaimTable:
     def try_claim(self, item: Item) -> bool:
         if item.taken:
             return False
-        with self._locks[item.seq & self._mask]:
+        with self._locks[item & self._mask]:  # the seq's low bits
             if item.taken:
                 return False
             item.__class__ = TakenItem

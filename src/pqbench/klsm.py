@@ -66,7 +66,7 @@ class KlsmHandle:
     def insert(self, key: int, value=None) -> Item:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")
-        it = Item((key, next(self._seqs)))
+        it = Item(key << 64 | next(self._seqs))
         self.dlsm.insert(it)
         local = self.dlsm.local
         while local.size > self.q.k:

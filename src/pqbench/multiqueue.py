@@ -153,7 +153,7 @@ class MqHandle:
     def insert(self, key: int, value=None) -> Item:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")
-        it = Item((key, next(self._seqs)))
+        it = Item(key << 64 | next(self._seqs))
         self.q.insert_item(it, self.rng)
         return it
 

@@ -14,6 +14,7 @@ from statistics import fmean
 
 import pytest
 
+from conftest import item
 from pqbench.baseline import SeqLsmQueue
 from pqbench.bench import (BenchConfig, run_conservation, run_quality_rep,
                            run_throughput_rep)
@@ -89,8 +90,8 @@ def test_02_structural_invariants_hold_after_every_op(capsys):
     t0 = time.perf_counter()
     for op in range(100_000):
         if rng.random() < 0.55:
-            from pqbench.core import Item, make_seq
-            lsm.insert(Item((rng.getrandbits(32), make_seq(0, counter))))
+            from pqbench.core import make_seq
+            lsm.insert(item(rng.getrandbits(32), make_seq(0, counter)))
             counter += 1
         else:
             lsm.delete_min()

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import item
 from pqbench import bench
 from pqbench.baseline import LockedHeap, SeqLsmQueue
 from pqbench.bench import (QUEUE_KINDS, BenchConfig, ConfigError,
@@ -15,7 +16,7 @@ from pqbench.bench import (QUEUE_KINDS, BenchConfig, ConfigError,
                            make_queue, mean_ci95,
                            pinning_supported, run_benchmark, run_conservation,
                            run_quality_rep, run_throughput_rep)
-from pqbench.core import Item, make_seq
+from pqbench.core import make_seq
 from pqbench.klsm import Klsm
 from pqbench.multiqueue import MultiQueue
 from pqbench.ranks import INSERT, OpRecord
@@ -89,6 +90,14 @@ def test_insert_takes_no_payload(queue):
     assert h.insert(5, None).key == 5
     with pytest.raises(TypeError):
         h.insert(5, "payload")
+
+
+@pytest.mark.parametrize("queue", QUEUE_KINDS)
+def test_insert_takes_int_keys_only(queue):
+    h = make_queue(cfg(queue=queue)).register()
+    with pytest.raises(TypeError):
+        h.insert(1.5)
+    assert h.delete_min() is None
 
 
 @pytest.mark.parametrize("make,args,per_handle", [
@@ -326,7 +335,7 @@ class _StubQueue:
         if self.fail:
             raise KeyError("stub queue failure")
         self.seq += 1
-        return Item((key, make_seq(0, self.seq)))
+        return item(key, make_seq(0, self.seq))
 
     def delete_min(self):
         if self.fail:

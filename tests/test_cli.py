@@ -224,3 +224,17 @@ def test_csv_rows_requires_results():
     assert len(csv_rows(res)) == 3
     with pytest.raises(ValueError):
         csv_rows(BenchResult(cfg, [], aggregate([rep0])))
+
+
+@pytest.mark.parametrize("queue,k,c", [
+    ("klsm", "7", ""), ("multiq", "", "3"), ("globallock", "", "")])
+def test_report_shows_only_the_settings_the_queue_used(tmp_path, capsys,
+                                                       queue, k, c):
+    path = tmp_path / "report.csv"
+    assert main(["--queue", queue, "--k", "7", "--c", "3", "--prefill", "10",
+                 "--duration-s", "0.05", "--reps", "1",
+                 "--csv", str(path)]) == 0
+    assert f"k={k or '-'} c={c or '-'} " in capsys.readouterr().out
+    with open(path, newline="") as f:
+        recs = list(csv.DictReader(f))
+    assert [(r["k"], r["c"]) for r in recs] == [(k, c)] * 2

@@ -4,17 +4,18 @@ import random
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from conftest import item
 import pqbench.core as core
 from pqbench.core import (Block, ClaimTable, Item, Lsm, SEQ_THREAD_SHIFT,
-                          compact, fit_capacity, fitted, make_seq,
+                          TakenItem, compact, fit_capacity, fitted, make_seq,
                           merge_sorted_live, place)
 from pqbench.slsm import Slsm
 
 
 def items(keys, start_seq=0, tid=0):
-    return [Item((k, make_seq(tid, start_seq + i))) for i, k in enumerate(keys)]
+    return [item(k, make_seq(tid, start_seq + i)) for i, k in enumerate(keys)]
 
 
 def take(*its):
@@ -47,6 +48,13 @@ def test_make_seq_distinct_across_threads():
 def test_make_seq_rejects_counter_overflow():
     with pytest.raises(OverflowError):
         make_seq(0, 1 << SEQ_THREAD_SHIFT)
+
+
+def test_make_seq_keeps_seqs_below_the_key_bits():
+    top = (1 << (64 - SEQ_THREAD_SHIFT)) - 1
+    assert make_seq(top, (1 << SEQ_THREAD_SHIFT) - 1) == (1 << 64) - 1
+    with pytest.raises(OverflowError):
+        make_seq(top + 1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -119,8 +127,8 @@ def test_merge_blocks_doubles_capacity():
 
 
 def test_merge_blocks_tie_breaks_by_seq():
-    young = Item((3, make_seq(0, 0)))
-    old = Item((3, make_seq(0, 5)))
+    young = item(3, make_seq(0, 0))
+    old = item(3, make_seq(0, 5))
     m = place_pair(Block(1, [old]), Block(1, [young]))
     assert m.capacity == 2
     assert [it.seq for it in m.items] == [young.seq, old.seq]
@@ -190,7 +198,7 @@ def placements(draw):
         occ = draw(st.integers(cap // 2 + 1, cap))
         keys = sorted(draw(st.lists(st.integers(0, 9), min_size=head + occ,
                                     max_size=head + occ)))
-        return Block(cap, [Item((k, next(seqs))) for k in keys], head)
+        return Block(cap, [item(k, next(seqs)) for k in keys], head)
 
     exps = draw(st.sets(st.integers(0, 5)))
     blocks = [block(e) for e in sorted(exps, reverse=True)]
@@ -263,7 +271,7 @@ entries = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1 << 20),
 
 def made(es, parity=0):
     # distinct parities keep two lists' seqs apart but interleaved
-    its = [Item((k, 2 * s + parity)) for k, s, _ in es]
+    its = [item(k, 2 * s + parity) for k, s, _ in es]
     take(*(it for it, (_, _, dead) in zip(its, es) if dead))
     return its
 
@@ -292,11 +300,29 @@ def two_way_merge(items_a, start_a, items_b, start_b):
     return out
 
 
-@given(entries)
+# (key, seq, taken) over the whole item range: negative and wide keys, key
+# ties, and seqs up to the top of their 64 bits
+wide_entries = st.lists(
+    st.tuples(st.one_of(st.integers(-2, 2), st.integers()),
+              st.integers(0, (1 << 64) - 1), st.booleans()),
+    unique_by=lambda e: e[1], max_size=40)
+
+
+@given(wide_entries)
+@example([(-1, (1 << 64) - 1, True), (0, 0, False), (-1, 0, False),
+          (0, (1 << 64) - 1, True), (-(1 << 70), 1, True), (1 << 70, 2, False)])
 def test_items_order_as_key_seq_tuples(es):
-    its = made(es)
+    its = [item(k, s) for k, s, _ in es]
+    hashes = [hash(it) for it in its]
+    order = [id(it) for it in sorted(its)]
+    take(*(it for it, (_, _, dead) in zip(its, es) if dead))
+    assert [(it.key, it.seq, it.taken) for it in its] == es
+    assert [type(it) for it in its] == [TakenItem if dead else Item
+                                        for _, _, dead in es]
+    assert [hash(it) for it in its] == hashes
     by_key_seq = sorted(its, key=lambda it: (it.key, it.seq))
     assert [id(it) for it in sorted(its)] == [id(it) for it in by_key_seq]
+    assert [id(it) for it in by_key_seq] == order
     if its:
         assert min(its) is by_key_seq[0]
     for a, b in zip(by_key_seq, by_key_seq[1:]):
@@ -318,9 +344,9 @@ def pair_merged_three_ways(x, y):
     general path (forced by a taken item that sorts last) and by the
     oracle, which keeps both copies of an item in both inputs, so its
     second copy is dropped here."""
-    pad = Item((1 << 40, 1 << 40))
+    pad = item(1 << 40, 1 << 40)
     take(pad)
-    fast = merge_sorted_live([Item((-1, -1)), x], 1, [y], 0)
+    fast = merge_sorted_live([item(-1, 0), x], 1, [y], 0)
     general = merge_sorted_live([x, pad], 0, [y], 0)
     oracle = list(dict.fromkeys(two_way_merge([x], 0, [y], 0)))
     return ([id(it) for it in fast], [id(it) for it in general],
@@ -332,7 +358,7 @@ def pair_merged_three_ways(x, y):
 def test_pair_merge_matches_general_path_and_oracle(keys, dead):
     """Both orders of x and y (and a key tie broken by seq), each with
     neither, one or both of them taken."""
-    x, y = Item((keys[0], 2)), Item((keys[1], 1))
+    x, y = item(keys[0], 2), item(keys[1], 1)
     if dead in ("left", "both"):
         take(x)
     if dead in ("right", "both"):
@@ -344,7 +370,7 @@ def test_pair_merge_matches_general_path_and_oracle(keys, dead):
 
 @pytest.mark.parametrize("dead", [False, True])
 def test_pair_merge_of_one_item_with_itself_keeps_one_copy(dead):
-    x = Item((5, 1))
+    x = item(5, 1)
     if dead:
         take(x)
     fast, general, oracle = pair_merged_three_ways(x, x)
@@ -370,7 +396,7 @@ def test_block_check_rejects_underfull():
 
 
 def test_block_check_rejects_unsorted():
-    bad = [Item((5, make_seq(0, 0))), Item((1, make_seq(0, 1)))]
+    bad = [item(5, make_seq(0, 0)), item(1, make_seq(0, 1))]
     with pytest.raises(ValueError):
         Block(2, bad).check()
 
@@ -380,21 +406,21 @@ def test_block_check_rejects_unsorted():
 
 def test_insert_into_empty_makes_singleton_block():
     lsm = Lsm()
-    lsm.insert(Item((42, make_seq(0, 0))))
+    lsm.insert(item(42, make_seq(0, 0)))
     assert [b.capacity for b in lsm.blocks] == [1]
 
 
 def test_three_inserts_make_capacities_2_and_1():
     lsm = Lsm()
     for i, k in enumerate([5, 1, 9]):
-        lsm.insert(Item((k, make_seq(0, i))))
+        lsm.insert(item(k, make_seq(0, i)))
     assert sorted(b.capacity for b in lsm.blocks) == [1, 2]
 
 
 def test_fourth_insert_collapses_to_single_block():
     lsm = Lsm()
     for i in range(4):
-        lsm.insert(Item((i, make_seq(0, i))))
+        lsm.insert(item(i, make_seq(0, i)))
     assert [b.capacity for b in lsm.blocks] == [4]
 
 
@@ -402,7 +428,7 @@ def test_fourth_insert_collapses_to_single_block():
 def test_capacities_follow_binary_decomposition(n):
     lsm = Lsm()
     for i in range(n):
-        lsm.insert(Item((i * 7 % 31, make_seq(0, i))))
+        lsm.insert(item(i * 7 % 31, make_seq(0, i)))
     caps = sorted((b.capacity for b in lsm.blocks), reverse=True)
     binary = [1 << b for b in range(n.bit_length()) if n >> b & 1]
     assert caps == sorted(binary, reverse=True)
@@ -412,7 +438,7 @@ def test_capacities_follow_binary_decomposition(n):
 def test_delete_min_returns_global_minimum():
     lsm = Lsm()
     for i, k in enumerate([5, 2, 9]):
-        lsm.insert(Item((k, make_seq(0, i))))
+        lsm.insert(item(k, make_seq(0, i)))
     assert lsm.delete_min().key == 2
 
 
@@ -423,7 +449,7 @@ def test_delete_min_empty_returns_none():
 def test_peek_then_delete_agree():
     lsm = Lsm()
     for i, k in enumerate([5, 2, 9]):
-        lsm.insert(Item((k, make_seq(0, i))))
+        lsm.insert(item(k, make_seq(0, i)))
     blk, it = lsm.peek_min()
     assert it.key == 2
     assert lsm.delete_min() is it
@@ -432,7 +458,7 @@ def test_peek_then_delete_agree():
 def test_size_counts_live_items():
     lsm = Lsm()
     for i in range(10):
-        lsm.insert(Item((i, make_seq(0, i))))
+        lsm.insert(item(i, make_seq(0, i)))
     assert lsm.size == 10
     lsm.delete_min()
     assert lsm.size == 9 == sum(b.occupancy for b in lsm.blocks)
@@ -447,7 +473,7 @@ def test_thousand_inserts_then_deletes_match_heap_oracle():
     oracle = []
     for i in range(1000):
         key = rng.getrandbits(16)
-        lsm.insert(Item((key, make_seq(0, i))))
+        lsm.insert(item(key, make_seq(0, i)))
         heapq.heappush(oracle, (key, make_seq(0, i)))
     out = []
     while True:
@@ -470,7 +496,7 @@ def test_mixed_ops_match_heap_oracle_with_invariants():
             assert (got.key, got.seq) == want
         else:
             key = rng.getrandbits(12)
-            lsm.insert(Item((key, make_seq(0, i))))
+            lsm.insert(item(key, make_seq(0, i)))
             heapq.heappush(oracle, (key, make_seq(0, i)))
         if i % 64 == 0:
             lsm.check()
@@ -481,7 +507,7 @@ def test_shrink_rule_halves_capacity():
     """Consuming down to half occupancy halves the block's capacity."""
     lsm = Lsm()
     for i in range(8):
-        lsm.insert(Item((i, make_seq(0, i))))
+        lsm.insert(item(i, make_seq(0, i)))
     assert [b.capacity for b in lsm.blocks] == [8]
     for _ in range(4):
         lsm.delete_min()
@@ -493,7 +519,7 @@ def test_shrink_merges_on_capacity_collision():
     """A shrinking block merges with an existing block of the target size."""
     lsm = Lsm()
     for i in range(12):   # capacities 8 + 4
-        lsm.insert(Item((i, make_seq(0, i))))
+        lsm.insert(item(i, make_seq(0, i)))
     assert sorted(b.capacity for b in lsm.blocks) == [4, 8]
     for _ in range(4):    # the cap-8 block holds keys 0..7, so its head dies
         lsm.delete_min()
@@ -511,7 +537,7 @@ def killed_heads_lsm():
     2-block empties."""
     lsm = Lsm()
     for i in range(14):
-        lsm.insert(Item((i, make_seq(0, i))))
+        lsm.insert(item(i, make_seq(0, i)))
     table = ClaimTable()
     for it in lsm.live_items():
         if it.key < 4 or it.key >= 12:
@@ -547,7 +573,7 @@ def test_peek_min_after_killed_heads_is_live_minimum():
 
 def test_claim_is_one_shot():
     table = ClaimTable()
-    it = Item((1, make_seq(0, 0)))
+    it = item(1, make_seq(0, 0))
     assert table.try_claim(it)
     assert not table.try_claim(it)
     assert it.taken

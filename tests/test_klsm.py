@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import item
 from pqbench.klsm import Klsm, rank_bound
 
 
@@ -63,12 +64,12 @@ def test_large_k_keeps_shared_part_empty():
 
 
 def test_delete_takes_smaller_of_both_parts():
-    from pqbench.core import Block, Item, make_seq
+    from pqbench.core import Block, make_seq
 
     q = Klsm(k=100, threads=1)       # large k: nothing spills, window is tiny
     h = q.register(random.Random(0))
     h.insert(7)
-    q.slsm.insert_batch(Block(1, [Item((3, make_seq(7, 0)))]))
+    q.slsm.insert_batch(Block(1, [item(3, make_seq(7, 0))]))
     assert h.delete_min().key == 3   # shared min 3 beats local min 7
     assert h.delete_min().key == 7
     assert h.delete_min() is None

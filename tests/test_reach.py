@@ -23,7 +23,7 @@ from pqbench.bench import (QUEUE_KINDS, BenchConfig, run_conservation,
                            run_quality_rep, run_throughput_rep)
 
 MODULES = ("core", "dlsm", "slsm", "klsm", "multiqueue", "baseline")
-STATIC_MODULES = MODULES + ("bench", "workload")
+STATIC_MODULES = MODULES + ("bench", "cli", "workload")
 SRC = os.path.dirname(pqbench.__file__)
 
 # reference views that tests read, and entry points that tools patch or call
@@ -110,14 +110,24 @@ def _class_named(node, classes):
 
 class _Types:
     """Static types of the receivers the package itself makes obvious:
-    ``self``, parameters annotated with a package class, attributes set
-    from those or from a package constructor, and local aliases of them.
+    ``self``, parameters and class-body fields (dataclass fields) annotated
+    with a package class or a dotted foreign class, attributes set from
+    those or from a package constructor, and local aliases of them.
     Any other receiver stays unknown."""
 
     def __init__(self, trees):
         self.classes = {n.name for t in trees.values() for n in ast.walk(t)
                         if isinstance(n, ast.ClassDef)}
         self.attrs = {}
+        for tree in trees.values():
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for node in cls.body:
+                        if (isinstance(node, ast.AnnAssign)
+                                and isinstance(node.target, ast.Name)):
+                            t = self.annotated(node.annotation)
+                            if t:
+                                self.attrs[cls.name, node.target.id] = t
         for cls, fn in self.methods(trees):
             env = self.params(fn, cls)
             for node in ast.walk(fn):
@@ -138,10 +148,18 @@ class _Types:
 
     def params(self, fn, cls):
         args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-        env = {a.arg: _class_named(a.annotation, self.classes) for a in args}
+        env = {a.arg: self.annotated(a.annotation) for a in args}
         if cls is not None and args and args[0].arg == "self":
             env["self"] = cls
         return env
+
+    def annotated(self, node):
+        """The package class an annotation names.  A dotted name such as
+        ``argparse.Namespace`` is another module's class: loads through it
+        read no package attribute, so it is a type too."""
+        if isinstance(node, ast.Attribute):
+            return ast.unparse(node)
+        return _class_named(node, self.classes)
 
     def env(self, fn, cls):
         env = self.params(fn, cls)
@@ -293,3 +311,39 @@ def test_static_guard_flags_a_sample():
     tree = ast.parse(GUARD_SAMPLE)
     assert unread_state({"m": tree}, ["m"]) == ["Part.table", "Table.spare"]
     assert unused_imports(GUARD_SAMPLE, tree) == ["Tuple"]
+
+
+TYPED_SAMPLE = """
+import argparse
+from dataclasses import dataclass
+
+
+@dataclass
+class Config:
+    threads: int = 1
+
+
+@dataclass
+class Result:
+    config: Config
+
+
+class Pool:
+    def __init__(self, cfg: Config):
+        self.threads = cfg.threads
+        self.size = 0
+
+
+def report(result: Result, args: argparse.Namespace, other):
+    cfg = result.config
+    return cfg.threads, args.threads, other.size
+"""
+
+
+def test_static_guard_types_dataclass_fields():
+    """``cfg`` comes from the annotated field ``Result.config`` and ``args``
+    is an ``argparse.Namespace``, so neither ``threads`` keeps ``Pool``'s
+    alive; the load through the unannotated ``other`` still keeps every
+    ``size``."""
+    tree = ast.parse(TYPED_SAMPLE)
+    assert unread_state({"m": tree}, ["m"]) == ["Pool.threads"]

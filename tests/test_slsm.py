@@ -7,7 +7,8 @@ from collections import Counter
 
 from hypothesis import given, strategies as st
 
-from pqbench.core import Block, ClaimTable, Item, compact, fitted, make_seq
+from conftest import item
+from pqbench.core import Block, ClaimTable, compact, fitted, make_seq
 from pqbench.klsm import Klsm
 from pqbench.slsm import Slsm, _scan_window
 
@@ -20,7 +21,7 @@ def shared(k):
 
 
 def batch(keys, tid=0, start_seq=0, capacity=None):
-    its = sorted((Item((k, make_seq(tid, start_seq + i))) for i, k in enumerate(keys)),
+    its = sorted((item(k, make_seq(tid, start_seq + i)) for i, k in enumerate(keys)),
                  key=lambda it: (it.key, it.seq))
     cap = capacity
     if cap is None:
@@ -79,8 +80,8 @@ def test_window_covers_all_when_small():
 def test_scan_window_hand_example():
     """Blocks [1,4,9] and [2,3,50] with k=3 give the window 1..4; their
     equal capacities merge on the way."""
-    a = Block(4, [Item((k, make_seq(0, i))) for i, k in enumerate([1, 4, 9])])
-    b = Block(4, [Item((k, make_seq(1, i))) for i, k in enumerate([2, 3, 50])])
+    a = Block(4, [item(k, make_seq(0, i)) for i, k in enumerate([1, 4, 9])])
+    b = Block(4, [item(k, make_seq(1, i)) for i, k in enumerate([2, 3, 50])])
     blocks, members = _scan_window((a, b), 3)
     assert [it.key for it in members] == [1, 2, 3, 4]   # ascending scan order
     assert [blk.capacity for blk in blocks] == [8]
@@ -88,7 +89,7 @@ def test_scan_window_hand_example():
 
 
 def test_scan_window_moves_heads_on_new_blocks():
-    items = [Item((k, make_seq(0, i))) for i, k in enumerate([1, 2, 3, 4])]
+    items = [item(k, make_seq(0, i)) for i, k in enumerate([1, 2, 3, 4])]
     a = Block(4, items)
     claims = ClaimTable()
     assert claims.try_claim(items[0]) and claims.try_claim(items[1])
@@ -112,7 +113,7 @@ def shared_blocks(draw):
         occ = draw(st.integers(cap // 2 + 1, cap))
         keys = draw(st.lists(st.integers(0, 30), min_size=head + occ,
                              max_size=head + occ))
-        blocks.append(Block(cap, sorted(Item((k, next(seqs))) for k in keys), head))
+        blocks.append(Block(cap, sorted(item(k, next(seqs)) for k in keys), head))
     if len(blocks) > 1:
         src, dst = draw(st.permutations(range(len(blocks))))[:2]
         a, b = blocks[src], blocks[dst]
@@ -147,7 +148,7 @@ def test_window_pick_draws_what_randrange_draws():
     rng, twin = random.Random(77), random.Random(77)
     for n in range(1, 601):
         s = shared(n - 1)
-        members = [Item((key, key)) for key in range(n)]
+        members = [item(key, key) for key in range(n)]
         s.insert_batch(fitted(members))
         for _ in range(3):
             assert s.peek_candidate(rng) is members[twin.randrange(n)]
@@ -158,13 +159,13 @@ def test_window_holds_an_item_in_two_blocks_once():
     """A live item in two shared blocks (a spied copy spilled apart from
     its original) takes one window slot and counts once."""
     s = shared(3)
-    a = [Item((k, make_seq(0, k))) for k in (1, 2, 3, 4)]
+    a = [item(k, make_seq(0, k)) for k in (1, 2, 3, 4)]
     s.insert_batch(fitted(a))
-    s.insert_batch(fitted([a[1], Item((9, 9))]))
+    s.insert_batch(fitted([a[1], item(9, 9)]))
     window = s.window_items()
     assert window == a
     assert len(s.live_items()) == 5
-    assert sorted(s.live_items()) == a + [Item((9, 9))]
+    assert sorted(s.live_items()) == a + [item(9, 9)]
 
 
 def test_shared_blocks_stay_more_than_half_full():
