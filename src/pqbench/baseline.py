@@ -50,16 +50,23 @@ class LockedHeap:
     def insert(self, key: int, value=None) -> Item:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")
-        with self._lock:
+        # acquire/release costs about half what ``with`` does (CPython 3.11)
+        lock = self._lock
+        lock.acquire()
+        try:
             it = Item(key << 64 | next(self._seqs))
             heapq.heappush(self._heap, it)
+        finally:
+            lock.release()
         return it
 
     def delete_min(self) -> Optional[Item]:
-        with self._lock:
-            if not self._heap:
-                return None
-            return heapq.heappop(self._heap)
+        lock = self._lock
+        lock.acquire()
+        try:
+            return heapq.heappop(self._heap) if self._heap else None
+        finally:
+            lock.release()
 
     def live_items(self) -> List[Item]:
         with self._lock:

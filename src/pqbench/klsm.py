@@ -17,7 +17,7 @@ from itertools import count
 from typing import List, Optional
 
 from .core import ClaimTable, Item, make_seq
-from .dlsm import DlsmShared
+from .dlsm import DlsmHandle, DlsmShared
 from .slsm import Slsm
 
 
@@ -57,7 +57,7 @@ class KlsmHandle:
 
     __slots__ = ("q", "dlsm", "rng", "_seqs")
 
-    def __init__(self, q: Klsm, dlsm_handle, rng: random.Random):
+    def __init__(self, q: Klsm, dlsm_handle: DlsmHandle, rng: random.Random):
         self.q = q
         self.dlsm = dlsm_handle
         self.rng = rng

@@ -3,16 +3,18 @@
 One global block structure is shared by all threads.  Alongside it lives a
 window covering the at most k+1 smallest live items; deletions pick a
 window member uniformly at random, so a deletion skips at most k smaller
-items.  The whole structure is an immutable state record swapped by an
-atomic compare-and-swap (emulated with a short mutex, since Python has no
-native CAS); writers that lose the race retry against the fresh state.
-Items die through the caller's claim table, never by structural removal;
-this part only reads ``taken``, so readers of stale states are always safe.
+items.  A window rebuild sorts only the items up to a cut taken from the
+largest block, about 1.5k of them on uniform keys.  The whole structure
+is an immutable state record swapped by an atomic compare-and-swap
+(emulated with a short mutex, since Python has no native CAS); writers
+that lose the race retry against the fresh state.  Items die through the
+caller's claim table, never by structural removal; this part only reads
+``taken``, so readers of stale states are always safe.
 """
 from __future__ import annotations
 
-import heapq
 import threading
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 from .core import Block, Item, compact, fitted, place
@@ -44,30 +46,39 @@ class _State:
 
 def _scan_window(blocks, k):
     """Skip dead prefixes, then collect the k+1 smallest distinct live
-    items with a k-way head scan.
+    items.
 
-    One item may sit in two blocks (a spied copy spilled apart from its
-    original); its copies compare equal, so they pop one after another
-    and only the first is kept.
+    The (k+1)-th live item of the first, largest block is a cut: no item
+    above it can be among the k+1 smallest.  That block's slice widens
+    past taken slots until it holds k+1 live items or the block runs out.
+    Every other block contributes its items up to the cut (found by
+    bisection), and one sort plus one pass that drops taken items and
+    second copies orders them.  One item may sit in two blocks (a spied
+    copy spilled apart from its original); its copies compare equal, so
+    they sort next to each other and only the first is kept.  A first
+    block with fewer than k+1 live items gives no cut, and every block
+    contributes all of its items.
     """
     blocks = compact(blocks)
-    heap = []
-    for idx, blk in enumerate(blocks):
-        heap.append((blk.items[blk.head], idx, blk.head))
-    heapq.heapify(heap)
-    members: List[Item] = []
-    while heap and len(members) < k + 1:
-        it, idx, pos = heapq.heappop(heap)
-        items = blocks[idx].items
-        if not members or it is not members[-1]:
-            members.append(it)
-        n = len(items)
-        p = pos + 1
-        while p < n and items[p].taken:
-            p += 1
-        if p < n:
-            heapq.heappush(heap, (items[p], idx, p))
-    return tuple(blocks), tuple(members)
+    if not blocks:
+        return (), ()
+    first = blocks[0]
+    items = first.items
+    live: List[Item] = []
+    end = first.head
+    while len(live) <= k and end < len(items):
+        start, end = end, end + k + 1 - len(live)
+        live += [it for it in items[start:end] if not it.taken]
+    cut = live[-1] if len(live) > k else None
+    for blk in blocks[1:]:
+        items = blk.items
+        stop = (len(items) if cut is None
+                else bisect_right(items, cut, blk.head))
+        live += items[blk.head:stop]
+    live.sort()
+    prev = None
+    members = [prev := it for it in live if not it.taken and it is not prev]
+    return tuple(blocks), tuple(members[:k + 1])
 
 
 class Slsm:

@@ -4,6 +4,7 @@ import random
 import threading
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
 from pqbench.baseline import LockedHeap, SeqLsmQueue
@@ -15,6 +16,23 @@ def test_locked_heap_pops_sorted():
         q.insert(key)
     assert [q.delete_min().key for _ in range(3)] == [1, 2, 3]
     assert q.delete_min() is None
+
+
+def test_locked_heap_ops_leave_the_lock_free():
+    """Every insert and delete releases the heap's lock: a delete of the
+    empty heap and an insert that fails on its key included."""
+    q = LockedHeap()
+    assert q.delete_min() is None
+    assert not q._lock.locked()
+    for key in (2, 1, 3):
+        q.insert(key)
+        assert not q._lock.locked()
+    with pytest.raises(TypeError):
+        q.insert("not an int")
+    assert not q._lock.locked()
+    while q.delete_min() is not None:
+        assert not q._lock.locked()
+    assert not q._lock.locked()
 
 
 def test_locked_heap_single_item():

@@ -2,6 +2,7 @@
 import heapq
 import random
 import threading
+from itertools import count
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -237,6 +238,42 @@ def test_place_reports_the_slots_its_merges_dropped(case):
     assert sum(b.occupancy for b in blocks) == before - dropped
 
 
+def pairwise_place(blocks, blk):
+    """The carry chain place replaced, which builds a fitted block after
+    every merge, as the oracle."""
+    dropped = 0
+    i = len(blocks)
+    while i and blocks[i - 1].capacity <= blk.capacity:
+        i -= 1
+        b = blocks[i]
+        if b.capacity == blk.capacity:
+            del blocks[i]
+            merged = merge_sorted_live(b.items, b.head, blk.items, blk.head)
+            dropped += (len(b.items) - b.head + len(blk.items) - blk.head
+                        - len(merged))
+            if not merged:
+                return dropped
+            blk = fitted(merged)
+            if blk.capacity < b.capacity:
+                i = len(blocks)
+    blocks.insert(i, blk)
+    return dropped
+
+
+def shapes(blocks):
+    return [(b.capacity, b.head, [id(it) for it in b.items]) for b in blocks]
+
+
+@given(placements())
+def test_place_matches_pairwise_place(case):
+    """Carrying the merged list builds the same blocks, and reports the
+    same drops, as building a block after every merge."""
+    blocks, blk = case
+    twin = list(blocks)
+    assert place(blocks, blk) == pairwise_place(twin, blk)
+    assert shapes(blocks) == shapes(twin)
+
+
 def test_merges_go_through_the_module_global(monkeypatch):
     """Tracers count merged items by patching ``core.merge_sorted_live``;
     every Lsm and Slsm merge must look it up there."""
@@ -270,8 +307,8 @@ entries = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1 << 20),
 
 
 def made(es, parity=0):
-    # distinct parities keep two lists' seqs apart but interleaved
-    its = [item(k, 2 * s + parity) for k, s, _ in es]
+    # distinct parities keep three lists' seqs apart but interleaved
+    its = [item(k, 3 * s + parity) for k, s, _ in es]
     take(*(it for it, (_, _, dead) in zip(its, es) if dead))
     return its
 
@@ -329,13 +366,17 @@ def test_items_order_as_key_seq_tuples(es):
         assert a < b and not b < a and a != b
 
 
-@given(entries, entries, st.integers(0, 40), st.integers(0, 40))
-def test_merge_sorted_live_matches_two_way_merge(ea, eb, start_a, start_b):
-    a = sorted(made(ea))
-    b = sorted(made(eb, parity=1))
+@given(entries, entries, entries, st.integers(0, 40), st.integers(0, 40))
+def test_merge_sorted_live_matches_two_way_merge(ea, eb, es, start_a, start_b):
+    """The items of ``es`` sit in both inputs, taken or not, as a spied
+    copy spilled next to its original does; the oracle keeps both copies
+    of such an item, so its second copies are dropped here."""
+    shared = made(es, parity=2)
+    a = sorted(made(ea) + shared)
+    b = sorted(made(eb, parity=1) + shared)
     start_a, start_b = min(start_a, len(a)), min(start_b, len(b))
     got = merge_sorted_live(a, start_a, b, start_b)
-    want = two_way_merge(a, start_a, b, start_b)
+    want = list(dict.fromkeys(two_way_merge(a, start_a, b, start_b)))
     assert [id(it) for it in got] == [id(it) for it in want]
 
 
@@ -577,6 +618,28 @@ def test_claim_is_one_shot():
     assert table.try_claim(it)
     assert not table.try_claim(it)
     assert it.taken
+
+
+def test_claims_leave_every_stripe_free():
+    """A won claim, a claim of an item already taken and a claim lost
+    inside the lock all release their stripe."""
+    table = ClaimTable()
+
+    def free():
+        return not any(lock.locked() for lock in table._locks)
+
+    it = item(1, make_seq(0, 5))
+    assert table.try_claim(it) and free()
+    assert not table.try_claim(it) and free()
+
+    class LosesTheRace(Item):
+        """Taken by another claimant between the unlocked and the locked
+        check."""
+        __slots__ = ()
+        taken = property(lambda self, reads=count(): next(reads) > 0)
+
+    assert not table.try_claim(LosesTheRace(2 << 64 | make_seq(0, 6)))
+    assert free()
 
 
 def test_concurrent_claims_deliver_each_item_once():

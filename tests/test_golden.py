@@ -2,7 +2,8 @@
 
 Speed work on the LSM and MultiQueue paths must not change which item
 any operation returns.  Each case drives a seeded single-thread mix of
-inserts and deletes on 16-bit keys, then drains the queue, and hashes the
+inserts and deletes (16-bit keys over a 3 000-item prefill unless the case
+names another shape), then drains the queue, and hashes the
 seq of every deletion in order (an absent delete hashes as a marker)
 together with the shared LSM's final ``version`` (0 for queues without
 one).  A mismatch means an operation now returns a different item or the
@@ -27,7 +28,7 @@ PREFILL = 3000
 OPS = 30000
 
 
-def digest(queue, handles, seed):
+def digest(queue, handles, seed, bits=16, prefill=PREFILL):
     """Hash of every deleted seq, then the drain, then slsm.version."""
     rng = random.Random(seed)
     h = hashlib.sha256()
@@ -37,12 +38,12 @@ def digest(queue, handles, seed):
         h.update(b"-" if it is None else it.seq.to_bytes(8, "little"))
         return it
 
-    for _ in range(PREFILL):
-        rng.choice(handles).insert(rng.getrandbits(16))
+    for _ in range(prefill):
+        rng.choice(handles).insert(rng.getrandbits(bits))
     for _ in range(OPS):
         handle = rng.choice(handles)
         if rng.random() < 0.5:
-            handle.insert(rng.getrandbits(16))
+            handle.insert(rng.getrandbits(bits))
         else:
             delete(handle)
     h.update(b"|")
@@ -70,10 +71,14 @@ def seqlsm_case():
 
 
 CASES = {
-    # name: (build, seed, digest, slsm.version)
+    # name: (build, seed, digest, slsm.version[, key bits, prefill])
     "klsm-k4": (lambda: klsm_case(4, 1), 41, "b768e70d039e1fcd", 3255),
     "klsm-k16": (lambda: klsm_case(16, 1), 42, "81e229bdfdcbcdb4", 739),
     "klsm-k256": (lambda: klsm_case(256, 1), 43, "f35fbaabd0600013", 56),
+    # the benchmark's uniform-1t shape: 32-bit keys over a 20 000-item
+    # prefill reach multi-block shared-LSM window rebuilds
+    "klsm-k256-32bit-20k": (lambda: klsm_case(256, 1), 50, "1b67d7ee5acd9f57",
+                            231, 32, 20000),
     # two handles driven from one thread: spies and publishes, no races
     "klsm-k16-two-handles": (lambda: klsm_case(16, 2), 44, "a620cb2e6a0e330e", 682),
     "seqlsm": (seqlsm_case, 45, "07df4ebfd2f4b2f6", 0),
@@ -86,9 +91,9 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fixed_seed_deletions_match_recorded_digest(name):
-    build, seed, want_digest, want_version = CASES[name]
+    build, seed, want_digest, want_version, *shape = CASES[name]
     queue, handles = build()
-    assert digest(queue, handles, seed) == (want_digest, want_version)
+    assert digest(queue, handles, seed, *shape) == (want_digest, want_version)
 
 
 def rank_digest(handles, seed):

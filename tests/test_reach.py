@@ -111,13 +111,23 @@ def _class_named(node, classes):
 class _Types:
     """Static types of the receivers the package itself makes obvious:
     ``self``, parameters and class-body fields (dataclass fields) annotated
-    with a package class or a dotted foreign class, attributes set from
-    those or from a package constructor, and local aliases of them.
-    Any other receiver stays unknown."""
+    with a package class or a dotted foreign class, results of module-level
+    functions whose return annotation names one, attributes set from those
+    or from a package constructor, and local aliases of them.  Any other
+    receiver stays unknown."""
 
     def __init__(self, trees):
         self.classes = {n.name for t in trees.values() for n in ast.walk(t)
                         if isinstance(n, ast.ClassDef)}
+        # function name -> the class its return annotation names; a name
+        # two modules annotate differently stays unknown
+        self.returns = {}
+        for tree in trees.values():
+            for fn in tree.body:
+                if isinstance(fn, ast.FunctionDef):
+                    t = self.annotated(fn.returns)
+                    if self.returns.setdefault(fn.name, t) != t:
+                        self.returns[fn.name] = None
         self.attrs = {}
         for tree in trees.values():
             for cls in ast.walk(tree):
@@ -175,6 +185,8 @@ class _Types:
         if isinstance(expr, ast.Attribute):
             return self.attrs.get((self.of(expr.value, env), expr.attr))
         if isinstance(expr, ast.Call):
+            if isinstance(expr.func, ast.Name) and expr.func.id in self.returns:
+                return self.returns[expr.func.id]
             return _class_named(expr.func, self.classes)
         return None
 
@@ -347,3 +359,36 @@ def test_static_guard_types_dataclass_fields():
     ``size``."""
     tree = ast.parse(TYPED_SAMPLE)
     assert unread_state({"m": tree}, ["m"]) == ["Pool.threads"]
+
+
+RETURNS_SAMPLE = """
+class Result:
+    def __init__(self):
+        self.config = 0
+        self.spare = 0
+
+
+class Other:
+    def __init__(self):
+        self.spare = 0
+
+
+def run() -> Result:
+    return Result()
+
+
+def main():
+    result = run()
+    return result.config, result.spare
+"""
+
+
+def test_static_guard_types_call_results_by_return_annotation():
+    """``result`` is what ``run`` is annotated to return, so its loads keep
+    ``Result``'s attributes alive and not ``Other.spare``.  When another
+    module annotates a ``run`` differently, the result is unknown again and
+    its loads keep every ``spare``."""
+    tree = ast.parse(RETURNS_SAMPLE)
+    assert unread_state({"m": tree}, ["m"]) == ["Other.spare"]
+    other = ast.parse("def run() -> int:\n    return 0\n")
+    assert unread_state({"m": tree, "n": other}, ["m"]) == []

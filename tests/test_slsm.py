@@ -5,7 +5,7 @@ import random
 import threading
 from collections import Counter
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import item
 from pqbench.core import Block, ClaimTable, compact, fitted, make_seq
@@ -100,46 +100,113 @@ def test_scan_window_moves_heads_on_new_blocks():
     assert [it.key for it in members] == [3, 4]
 
 
+def heap_scan_window(blocks, k):
+    """The k-way head scan _scan_window replaced, as the oracle."""
+    blocks = compact(blocks)
+    heap = [(blk.items[blk.head], idx, blk.head) for idx, blk in enumerate(blocks)]
+    heapq.heapify(heap)
+    members = []
+    while heap and len(members) < k + 1:
+        it, idx, pos = heapq.heappop(heap)
+        items = blocks[idx].items
+        if not members or it is not members[-1]:
+            members.append(it)
+        n = len(items)
+        p = pos + 1
+        while p < n and items[p].taken:
+            p += 1
+        if p < n:
+            heapq.heappush(heap, (items[p], idx, p))
+    return tuple(blocks), tuple(members)
+
+
 @st.composite
 def shared_blocks(draw):
-    """Shared blocks with random heads and taken flags, and a window size.
-    One item may also sit in a second block, as a spied copy spilled apart
-    from its original does."""
+    """Shared blocks and a window size k drawn against the first block, so
+    that block may or may not hold k+1 live items.  Up to four items also
+    sit in a second block, as spied copies spilled apart from their
+    originals do, and any item may be taken.  ``bury`` takes the k slots
+    after the first block's head, so a scan must widen its slice of that
+    block past them."""
     seqs = iter(range(1 << 20))
     blocks = []
-    for exp in sorted(draw(st.sets(st.integers(0, 6), max_size=5)), reverse=True):
+    for exp in sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=5)),
+                      reverse=True):
         cap = 1 << exp
         head = draw(st.integers(0, 3))
         occ = draw(st.integers(cap // 2 + 1, cap))
         keys = draw(st.lists(st.integers(0, 30), min_size=head + occ,
                              max_size=head + occ))
         blocks.append(Block(cap, sorted(item(k, next(seqs)) for k in keys), head))
-    if len(blocks) > 1:
-        src, dst = draw(st.permutations(range(len(blocks))))[:2]
+    n = len(blocks)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=4)):
         a, b = blocks[src], blocks[dst]
         copy = draw(st.sampled_from(a.items[a.head:]))
         rest = b.items[:-1]
-        if sum(it < copy for it in rest) >= b.head:   # lands at or past the head
+        # a copy lands at or past the head, once per block
+        if copy not in rest and sum(it < copy for it in rest) >= b.head:
             blocks[dst] = Block(b.capacity, sorted(rest + [copy]), b.head)
+    first = blocks[0]
+    k = draw(st.integers(0, len(first.items) + 2))
     pool = list({id(it): it for b in blocks for it in b.items}.values())
     dead = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    if draw(st.booleans()):  # bury
+        buried = {id(it) for it in first.items[first.head + 1:first.head + 1 + k]}
+        dead = [d or id(it) in buried for it, d in zip(pool, dead)]
     claims = ClaimTable()
     for it, d in zip(pool, dead):
         if d:
             assert claims.try_claim(it)
-    return blocks, draw(st.integers(0, 12))
+    return blocks, k
 
 
+def shapes(blocks):
+    return [(b.capacity, b.head, [id(it) for it in b.items]) for b in blocks]
+
+
+@settings(max_examples=300)
 @given(shared_blocks())
 def test_scan_window_matches_sorted_live_oracle(case):
     """The window is the k+1 smallest distinct live items at or past the
-    block heads, and the blocks are the compacted input."""
+    block heads, as the heap scan finds them too, and the blocks are the
+    compacted input."""
     blocks, k = case
     live = sorted({it for b in blocks for it in b.items[b.head:] if not it.taken})
     got_blocks, members = _scan_window(tuple(blocks), k)
+    want_blocks, want_members = heap_scan_window(tuple(blocks), k)
     assert list(members) == live[:k + 1]
-    assert [(b.capacity, b.head, b.items) for b in got_blocks] == [
-        (b.capacity, b.head, b.items) for b in compact(blocks)]
+    assert [id(it) for it in members] == [id(it) for it in want_members]
+    assert shapes(got_blocks) == shapes(compact(blocks)) == shapes(want_blocks)
+
+
+def test_scan_window_widens_past_taken_slots():
+    """The first block's first k+1 slots hold two live items, so the cut
+    is found further on; the other block gives only its items up to it."""
+    a = Block(8, [item(k, make_seq(0, k)) for k in range(8)])
+    b = Block(4, [item(k, make_seq(1, k)) for k in (2, 5, 6, 9)])
+    claims = ClaimTable()
+    for it in a.items[1:4]:
+        assert claims.try_claim(it)
+    _, members = _scan_window((a, b), 3)
+    assert [(it.key, it.seq >> 48) for it in members] == [
+        (0, 0), (2, 1), (4, 0), (5, 0)]
+
+
+def test_scan_window_without_a_cut_reads_every_block():
+    """A first block with fewer than k+1 live items gives no cut."""
+    a = Block(4, [item(k, make_seq(0, k)) for k in (1, 3, 8)])
+    b = Block(2, [item(k, make_seq(1, k)) for k in (2, 20)])
+    c = Block(1, [item(30, make_seq(2, 0))])
+    assert CLAIMS.try_claim(a.items[1])
+    _, members = _scan_window((a, b, c), 5)
+    assert [it.key for it in members] == [1, 2, 8, 20, 30]
+
+
+def test_scan_window_of_nothing_live_is_empty():
+    a = Block(2, [item(k, make_seq(0, k)) for k in (1, 2)])
+    assert CLAIMS.try_claim(a.items[0]) and CLAIMS.try_claim(a.items[1])
+    assert _scan_window((a,), 3) == _scan_window((), 3) == ((), ())
 
 
 def test_window_pick_draws_what_randrange_draws():
