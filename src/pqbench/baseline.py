@@ -24,9 +24,7 @@ class SeqLsmQueue:
     def register(self, rng: Optional[random.Random] = None) -> "SeqLsmQueue":
         return self
 
-    def insert(self, key: int, value=None) -> Item:
-        if value is not None:
-            raise TypeError("items carry no payload; value must be None")
+    def insert(self, key: int) -> Item:
         it = Item(key << 64 | next(self._seqs))
         self.lsm.insert(it)
         return it
@@ -81,8 +79,8 @@ class LockedHeapHandle:
     def __init__(self, q: LockedHeap):
         self.q = q
 
-    def insert(self, key: int, value=None) -> Item:
-        return self.q.insert(key, value)
+    def insert(self, key: int) -> Item:
+        return self.q.insert(key)
 
     def delete_min(self) -> Optional[Item]:
         return self.q.delete_min()

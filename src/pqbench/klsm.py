@@ -63,9 +63,7 @@ class KlsmHandle:
         self.rng = rng
         self._seqs = count(make_seq(dlsm_handle.owner, 0))
 
-    def insert(self, key: int, value=None) -> Item:
-        if value is not None:
-            raise TypeError("items carry no payload; value must be None")
+    def insert(self, key: int) -> Item:
         it = Item(key << 64 | next(self._seqs))
         self.dlsm.insert(it)
         local = self.dlsm.local

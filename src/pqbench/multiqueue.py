@@ -150,9 +150,7 @@ class MqHandle:
         self.rng = rng
         self._seqs = count(make_seq(owner, 0))
 
-    def insert(self, key: int, value=None) -> Item:
-        if value is not None:
-            raise TypeError("items carry no payload; value must be None")
+    def insert(self, key: int) -> Item:
         it = Item(key << 64 | next(self._seqs))
         self.q.insert_item(it, self.rng)
         return it

@@ -7,21 +7,24 @@ moment (1 = true minimum), under the queues' own total order
 ``(key, seq)``.  Keys may repeat, but seq is unique, so the rank is exact:
 a live duplicate of the deleted key counts only if its seq is smaller.
 
-Every inserted item is known before replay starts, so each gets a fixed
-position in ``(key, seq)`` order, found by one dict lookup per event.  The
-live set is a blocked counter over those positions: a ``bytearray`` of live
-flags, live counts per 64 positions and per 2048 positions.  A deletion's
-rank is two C ``sum`` slices plus one ``bytearray.count``: at most n/2048 +
-32 + 64 additions in C for n inserted items, and no Python loop.
+The live items are one sorted list of ints ``key << 64 | seq`` (the
+packing of ``core.Item``) cut into chunks of at most ``2 * LOAD``, with
+each chunk's last item and length kept alongside: the square-root
+decomposition of Grant Jenks's ``sortedcontainers``.  The leading inserts
+(the prefill) are sorted once.  An event bisects the chunk maxima, then the
+chunk; a deletion's rank adds the earlier chunks' lengths in one C ``sum``.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from itertools import chain, compress, count, islice, repeat
 from math import sqrt
-from operator import gt, itemgetter, mul
+from operator import eq, gt, itemgetter, mul, ne
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .workload import DELETE, INSERT
+
+LOAD = 1000     # a chunk of the live list splits when it passes 2 * LOAD items
 
 
 class CorruptLogError(ValueError):
@@ -56,50 +59,68 @@ def replay_ranks(records: Sequence[OpRecord]) -> List[int]:
     """The rank of every deletion, in history order.
 
     Raises CorruptLogError when the records do not form a valid history:
-    timestamps out of order, an item inserted twice, or a deletion of an
-    item that is not live.  An item inserted twice is reported first;
-    otherwise the first fault in history order.
+    an item inserted twice, a seq outside ``[0, 2**64)``, timestamps out of
+    order, or a deletion of an item that is not live.  The first two are
+    reported first; otherwise the first fault in history order.
     """
-    inserts = [r for r in records if r.kind == INSERT]
-    inserts.sort(key=itemgetter(2))   # seq; the stable sort below keeps it
-    inserts.sort(key=itemgetter(1))   # within equal keys
-    n = len(inserts)
-    seqs = list(map(itemgetter(2), inserts))
-    keys = list(map(itemgetter(1), inserts))    # position -> inserted key
-    pos = dict(zip(seqs, range(n)))             # seq -> position
-    if len(pos) != n:      # pos keeps the last position of a repeated seq
-        dup = next(seq for i, seq in enumerate(seqs) if pos[seq] != i)
+    kinds = list(map(itemgetter(0), records))
+    seqs = list(map(itemgetter(2), records))
+    inserted = list(compress(seqs, map(eq, kinds, repeat(INSERT))))
+    if len(set(inserted)) != len(inserted):
+        seen: set = set()
+        dup = next(s for s in inserted if s in seen or seen.add(s))
         raise CorruptLogError(f"duplicate insert of seq {dup}")
+    if min(seqs, default=0) < 0 or max(seqs, default=0) >> 64:
+        bad = next(s for s in seqs if not 0 <= s < 1 << 64)
+        raise CorruptLogError(f"seq {bad} is not an unsigned 64-bit int")
     ts = list(map(itemgetter(3), records))
-    # replay stops before the first regressing timestamp, so a fault
-    # earlier in the history is still the one reported
+    # replay stops before the first regressing timestamp: an earlier fault wins
     stop = next(compress(count(1), map(gt, ts, islice(ts, 1, None))), len(ts))
-    live = bytearray(n)
-    mid = [0] * ((n >> 6) + 1)        # live count per 64 positions
-    top = [0] * ((n >> 11) + 1)       # live count per 2048 positions
+    # the inserts that lead the log (the prefill) are sorted once
+    lead = next(compress(count(), map(ne, kinds[:stop], repeat(INSERT))), stop)
+    live = sorted([r[1] << 64 | r[2] for r in islice(records, lead)])
+    chunks = [live[i:i + LOAD] for i in range(0, lead, LOAD)]  # live, sorted
+    maxes = [chunk[-1] for chunk in chunks]     # the last item of each chunk
+    lens = list(map(len, chunks))
     ranks: List[int] = []
     append = ranks.append
-    for kind, key, seq, _, _ in islice(records, stop):
+    for kind, key, seq, _, _ in islice(records, lead, stop):
+        x = key << 64 | seq
         if kind == INSERT:
-            i = pos[seq]
-            live[i] = 1
-            mid[i >> 6] += 1
-            top[i >> 11] += 1
+            c = bisect_left(maxes, x)
+            if c < len(maxes):
+                insort(chunks[c], x)
+            elif c:                 # above every live item
+                c -= 1
+                chunks[c].append(x)
+                maxes[c] = x
+            else:                   # nothing is live
+                chunks[:], maxes[:], lens[:] = [[x]], [x], [0]
+            n = lens[c] = lens[c] + 1
+            if n > 2 * LOAD:
+                chunk = chunks[c]
+                chunks[c:c + 1] = chunk[:LOAD], chunk[LOAD:]
+                maxes.insert(c, chunk[LOAD - 1])
+                lens[c:c + 1] = LOAD, n - LOAD
         elif kind == DELETE:
-            i = pos.get(seq)
-            if i is None or not live[i]:
-                raise CorruptLogError(f"delete of non-live seq {seq}")
-            if keys[i] != key:
-                raise CorruptLogError(
-                    f"delete of seq {seq} reports key {key}, inserted {keys[i]}"
-                )
-            b = i >> 6
-            s = i >> 11
-            append(sum(top[:s]) + sum(mid[s << 5:b])
-                   + live.count(1, b << 6, i + 1))
-            live[i] = 0
-            mid[b] -= 1
-            top[s] -= 1
+            c = bisect_left(maxes, x)
+            if c < len(maxes):
+                chunk = chunks[c]
+                j = bisect_left(chunk, x)
+                if chunk[j] == x:
+                    append(sum(lens[:c]) + j + 1 if c else j + 1)
+                    del chunk[j]
+                    n = lens[c] = lens[c] - 1
+                    if not n:
+                        del chunks[c], maxes[c], lens[c]
+                    elif j == n:
+                        maxes[c] = chunk[-1]
+                    continue
+            for y in chain.from_iterable(chunks):
+                if y & (1 << 64) - 1 == seq:
+                    raise CorruptLogError(f"delete of seq {seq} reports key "
+                                          f"{key}, inserted {y >> 64}")
+            raise CorruptLogError(f"delete of non-live seq {seq}")
         else:
             raise CorruptLogError(f"unknown record kind {kind!r}")
     if stop < len(ts):

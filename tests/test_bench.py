@@ -1,5 +1,7 @@
 """Benchmark harness: config validation, statistics, runs, self-checks."""
+import heapq
 import math
+import os
 import random
 import statistics
 import threading
@@ -87,9 +89,10 @@ def test_make_queue_kinds():
 @pytest.mark.parametrize("queue", QUEUE_KINDS)
 def test_insert_takes_no_payload(queue):
     h = make_queue(cfg(queue=queue)).register()
-    assert h.insert(5, None).key == 5
-    with pytest.raises(TypeError):
-        h.insert(5, "payload")
+    for payload in (None, "payload"):
+        with pytest.raises(TypeError):
+            h.insert(5, payload)
+    assert h.insert(5).key == 5
 
 
 @pytest.mark.parametrize("queue", QUEUE_KINDS)
@@ -331,7 +334,7 @@ class _StubQueue:
     def register(self, rng=None):
         return self
 
-    def insert(self, key, value=None):
+    def insert(self, key):
         if self.fail:
             raise KeyError("stub queue failure")
         self.seq += 1
@@ -449,14 +452,61 @@ def test_pinning_respects_opt_out(monkeypatch):
         run_benchmark(cfg(duration_s=0.05))
 
 
+class _RefItem:
+    """Heap entry compared by a Python method, like the queues' work."""
+
+    __slots__ = ("key", "seq")
+
+    def __init__(self, key, seq):
+        self.key = key
+        self.seq = seq
+
+    def __lt__(self, other):
+        return (self.key, self.seq) < (other.key, other.seq)
+
+
+REF_OPS = 15_000     # 30–55 ms on a 2-vCPU host
+
+
+def reference_mops():
+    """Speed of a fixed stdlib workload, heapq push and pop of _RefItem,
+    on the core the harness pins worker 0 to: a measure of the host's
+    speed at this moment that runs none of the program's code."""
+    cores = sorted(os.sched_getaffinity(0)) if pinning_supported() else None
+    if cores:
+        os.sched_setaffinity(0, {cores[0]})
+    try:
+        heap = [_RefItem(i * 7919 % 65536, i) for i in range(2000)]
+        heapq.heapify(heap)
+        x = 12345
+        t0 = time.perf_counter()
+        for i in range(REF_OPS):
+            x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+            if x & 1:
+                heapq.heappush(heap, _RefItem(x >> 15, i))
+            else:
+                heapq.heappop(heap)
+        elapsed = time.perf_counter() - t0
+    finally:
+        if cores:
+            os.sched_setaffinity(0, set(cores))
+    return REF_OPS / elapsed / 1e6
+
+
 def test_single_thread_throughput_is_stable_across_runs():
     """Two seeds run in turns (a b a b a b), so a drift in the host's speed
-    reaches both; their median rates must agree within 25%."""
+    reaches both; each rep's rate is divided by the reference workload's
+    speed, timed right before and after it, so that a change of speed from
+    one rep to the next cancels too.  Their median rescaled rates must
+    agree within 25%."""
     c = cfg(prefill=1000, duration_s=1 / 3)
     runs = {0: [], 1: []}
     for _ in range(3):
         for rep in runs:
-            runs[rep].append(run_throughput_rep(c, rep).mops_per_sec)
+            before = reference_mops()
+            mops = run_throughput_rep(c, rep).mops_per_sec
+            runs[rep].append(mops / statistics.fmean(
+                (before, reference_mops())))
     a, b = (statistics.median(r) for r in runs.values())
     assert a > 0 and b > 0
     assert max(a, b) / min(a, b) < 1.25

@@ -1,14 +1,17 @@
 """Rank replay: hand examples, brute-force and Fenwick oracles, log
 plumbing."""
+import bisect
 import heapq
 import math
 import random
 import statistics
-from itertools import chain
+from itertools import accumulate, chain
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from pqbench import ranks
 from pqbench.ranks import (DELETE, INSERT, CorruptLogError, OpRecord,
                            merge_logs, replay_ranks, summarize_ranks)
 
@@ -200,6 +203,58 @@ def test_replay_matches_brute_force_at_block_edges(prefill, ops):
     assert replay_ranks(log) == brute_ranks(log)
 
 
+def chunked_history(prefill, ops):
+    """A log from op codes: ``("ins", k)`` inserts key k % 4, ``("top",
+    _)`` inserts above every live item, ``("del", r)`` deletes the live
+    item at sorted position r % live; the prefill has keys 0, 2, 4, ..."""
+    log = [ins(2 * s, s, s) for s in range(prefill)]
+    live = [(2 * s, s) for s in range(prefill)]
+    seq = prefill
+    for ts, (op, r) in enumerate(ops, prefill):
+        if op == "del" and live:
+            key, s = live.pop(r % len(live))
+            log.append(dele(key, s, ts))
+        elif op != "del":
+            key = live[-1][0] if op == "top" and live else r % 4
+            log.append(ins(key, seq, ts))
+            bisect.insort(live, (key, seq))
+            seq += 1
+    return log
+
+
+CHUNK_OPS = st.lists(st.tuples(st.sampled_from(("ins", "top", "del")),
+                               st.integers(0, 50)), max_size=60)
+
+
+@given(st.sampled_from((1, 2, 3, 4)), st.integers(0, 12), CHUNK_OPS)
+# a hand case at LOAD = 2 (the first delete ends the prefill, which is
+# sorted in one go): inserts split a chunk past 2 * LOAD and land above
+# every max; deletes take chunk maxima, empty a chunk and then every chunk
+@example(2, 3, [("del", 0)] + [("ins", 1)] * 4 + [("top", 0)] * 2
+         + [("del", 2)] * 2 + [("del", 0)] * 3
+         + [("del", 1), ("top", 0), ("del", 9)] * 3)
+def test_replay_matches_brute_force_across_chunks(load, prefill, ops):
+    # a small LOAD makes a few dozen events split chunks past 2 * LOAD,
+    # delete chunk maxima and empty chunks, as a real LOAD does at scale
+    log = chunked_history(prefill, ops)
+    with mock.patch.object(ranks, "LOAD", load):
+        assert replay_ranks(log) == brute_ranks(log)
+
+
+def test_replay_matches_brute_force_across_real_chunks():
+    # the live count crosses LOAD and 2 * LOAD at the module's own LOAD:
+    # after a prefill of LOAD + 1 items and one delete, inserts above every
+    # max split the last chunk; deletes take its max and items past the
+    # first chunk, then empty the first chunk; low inserts follow
+    load = ranks.LOAD
+    ops = ([("del", 0)] + [("top", 0)] * 2 * load
+           + [("del", -1), ("del", load)] * 30 + [("del", 0)] * (load + 5)
+           + [("ins", 3)] * 40 + [("del", 7)] * 40)
+    log = chunked_history(load + 1, ops)
+    assert max(accumulate(1 if r.kind == INSERT else -1 for r in log)) > 2 * load
+    assert replay_ranks(log) == brute_ranks(log)
+
+
 # ----------------------------------------------------------------------
 # corrupt logs
 
@@ -240,6 +295,18 @@ def test_key_mismatch_is_corrupt():
     # of a regress and another fault, the earlier one is reported
     ([ins(5, 0, 1), dele(5, 9, 2), ins(6, 1, 1)], "delete of non-live seq 9"),
     ([ins(5, 0, 2), ins(6, 1, 1), dele(5, 9, 3)], "timestamps regress at seq 1"),
+    # a chunk's max deleted twice: its chunk keeps one live item
+    ([ins(5, 0, 1), ins(6, 1, 2), dele(6, 1, 3), dele(6, 1, 4)],
+     "delete of non-live seq 1"),
+    # a dead seq under another key is not live, not a key mismatch
+    ([ins(5, 0, 1), dele(5, 0, 2), dele(6, 0, 3)], "delete of non-live seq 0"),
+    # seqs must fit the packing key << 64 | seq; 7 << 64 | -1 == -1 is the
+    # live item (-1, 2**64 - 1), so a delete's seq is checked too
+    ([ins(5, 2**64, 1)], f"seq {2**64} is not an unsigned 64-bit int"),
+    ([ins(-1, 2**64 - 1, 1), dele(7, -1, 2)],
+     "seq -1 is not an unsigned 64-bit int"),
+    ([ins(5, 0, 1), dele(5, 9, 2), ins(6, -2, 3)],
+     "seq -2 is not an unsigned 64-bit int"),
 ])
 def test_corrupt_log_names_its_first_fault(log, message):
     with pytest.raises(CorruptLogError, match=f"^{message}$"):
