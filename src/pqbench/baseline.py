@@ -19,7 +19,7 @@ class SeqLsmQueue:
 
     def __init__(self):
         self.lsm = Lsm()
-        self._seqs = count(make_seq(0, 0))
+        self._seqs = count(make_seq(0))
 
     def register(self, rng: Optional[random.Random] = None) -> "SeqLsmQueue":
         return self
@@ -40,7 +40,7 @@ class LockedHeap:
     def __init__(self):
         self._lock = threading.Lock()
         self._heap: List[Item] = []
-        self._seqs = count(make_seq(0, 0))
+        self._seqs = count(make_seq(0))
 
     def register(self, rng: Optional[random.Random] = None) -> "LockedHeapHandle":
         return LockedHeapHandle(self)

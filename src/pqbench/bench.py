@@ -229,19 +229,21 @@ def _pin_self(index: int) -> bool:
 # ----------------------------------------------------------------------
 # workers
 
-def _throughput_worker(idx, handle, wl, barrier, stop, out, track):
+def _throughput_worker(idx, handle, wl, barrier, running, stop, out, track):
     _pin_self(idx)
+    # bound after any tracer has wrapped them; an empty ``running`` stops
+    next_op, insert, delete_min = wl.next, handle.insert, handle.delete_min
     barrier.wait()
     ins = dels = absent = 0
-    while not stop.is_set():
-        kind, key = wl.next()
+    while running:
+        kind, key = next_op()
         if kind == INSERT:
-            handle.insert(key)
+            insert(key)
             ins += 1
             if track is not None:
                 track[idx][0].append(key)
         else:
-            it = handle.delete_min()
+            it = delete_min()
             if it is None:
                 absent += 1
             else:
@@ -253,21 +255,23 @@ def _throughput_worker(idx, handle, wl, barrier, stop, out, track):
     out[idx] = (ins, dels, absent)
 
 
-def _quality_worker(idx, handle, wl, barrier, stop, out, log, commit, cap):
+def _quality_worker(idx, handle, wl, barrier, running, stop, out, log,
+                    commit, cap):
     _pin_self(idx)
+    next_op, insert, delete_min = wl.next, handle.insert, handle.delete_min
     barrier.wait()
     ins = dels = absent = 0
     append = log.append
-    while not stop.is_set():
-        kind, key = wl.next()
+    while running:
+        kind, key = next_op()
         if kind == INSERT:
             with commit:
-                it = handle.insert(key)
+                it = insert(key)
                 append(OpRecord(INSERT, key, it.seq, len(log) + 1, idx))
             ins += 1
         else:
             with commit:
-                it = handle.delete_min()
+                it = delete_min()
                 if it is not None:
                     key = it.key
                     append(OpRecord(DELETE, key, it.seq, len(log) + 1, idx))
@@ -341,14 +345,15 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
     """One repetition's lifecycle around ``worker``, the per-thread loop.
 
     Builds a fresh queue, prefills it, starts one thread per worker with
-    ``args`` appended to its common arguments, opens the timed
-    window at a barrier and closes it by setting ``stop``.  A worker that
-    raises, or a thread that cannot start, stops the others and surfaces
-    here as :class:`WorkerError`.
+    ``args`` appended to its common arguments, and opens the timed window
+    at a barrier; clearing ``running`` closes it, after the duration or
+    once a worker sets ``stop``.  A worker that raises, or a thread that
+    cannot start, stops the others and surfaces as :class:`WorkerError`.
     Returns the handles and the repetition's operation counts.
     """
     _, wls, handles = _build_run(cfg, rep)
     _prefill(cfg, wls, handles, log=log, track=track)
+    running = [True]
     stop = threading.Event()
     barrier = threading.Barrier(cfg.threads + 1)
     out: List[Optional[Tuple[int, int, int]]] = [None] * cfg.threads
@@ -362,7 +367,7 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
 
     def run(i: int) -> None:
         try:
-            worker(i, handles[i], wls[i], barrier, stop, out, *args)
+            worker(i, handles[i], wls[i], barrier, running, stop, out, *args)
         except BaseException as e:  # re-raised in the calling thread
             fail(i, e)
 
@@ -381,7 +386,7 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
         pass  # a worker failed before the window opened; stop is set
     t0 = time.perf_counter()
     stop.wait(cfg.duration_s)
-    stop.set()
+    running.clear()
     elapsed = time.perf_counter() - t0
     for w in workers:
         w.join()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from typing import List, Optional
 
@@ -147,6 +148,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg.validate()
     except ConfigError as e:
         parser.error(str(e))   # exits with code 2 and usage text
+    if args.csv is not None:  # fail before the run, not after it
+        new = not os.path.lexists(args.csv)
+        try:  # append mode truncates nothing
+            open(args.csv, "a").close()
+            if new:
+                os.remove(args.csv)
+        except OSError as e:
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return 1
     try:
         result = run_benchmark(cfg)
     except (SelfCheckError, LogOverflowError, WorkerError,

@@ -24,13 +24,11 @@ SEQ_THREAD_SHIFT = 48
 CLAIM_LOCKS = 64
 
 
-def make_seq(thread_id: int, counter: int) -> int:
-    """Pack a per-thread counter into a globally unique sequence number."""
-    if counter >= (1 << SEQ_THREAD_SHIFT):
-        raise OverflowError("per-thread insertion counter exhausted")
+def make_seq(thread_id: int) -> int:
+    """The first sequence number of a thread; its i-th is this plus i."""
     if thread_id >= 1 << (64 - SEQ_THREAD_SHIFT):
         raise OverflowError("thread id does not fit in a 64-bit seq")
-    return (thread_id << SEQ_THREAD_SHIFT) | counter
+    return thread_id << SEQ_THREAD_SHIFT
 
 
 class Item(int):

@@ -61,7 +61,7 @@ class KlsmHandle:
         self.q = q
         self.dlsm = dlsm_handle
         self.rng = rng
-        self._seqs = count(make_seq(dlsm_handle.owner, 0))
+        self._seqs = count(make_seq(dlsm_handle.owner))
 
     def insert(self, key: int) -> Item:
         it = Item(key << 64 | next(self._seqs))

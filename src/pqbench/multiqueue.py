@@ -4,7 +4,7 @@ c heaps per thread, each behind its own lock.  Inserts push to a random
 heap; deletions sample two distinct heaps and pop the one whose top is
 smaller.  Quality is good in practice but carries no worst-case rank
 guarantee.  Lock acquisition is try-lock with re-sampling so threads
-rarely wait on each other.
+rarely wait on each other.  A handle does each whole op in one frame.
 """
 from __future__ import annotations
 
@@ -41,73 +41,6 @@ class MultiQueue:
             self._registered += 1
         return MqHandle(self, owner, rng or random.Random())
 
-    # ------------------------------------------------------------------
-
-    def insert_item(self, it: Item, rng: random.Random) -> None:
-        n = self.n
-        bits = n.bit_length()
-        getrandbits = rng.getrandbits
-        for attempt in range(INSERT_ATTEMPTS + 1):
-            # rng.randrange(n) inlined: the same draws, no Python frames
-            i = getrandbits(bits)
-            while i >= n:
-                i = getrandbits(bits)
-            lock = self.locks[i]
-            # try-locks first; the attempt after them waits for its lock
-            if not lock.acquire(attempt == INSERT_ATTEMPTS):
-                continue
-            try:
-                h = self.heaps[i]
-                heappush(h, it)
-                self.tops[i] = h[0]
-            finally:
-                lock.release()
-            return
-
-    def delete_min(self, rng: random.Random) -> Optional[Item]:
-        n = self.n
-        bits = n.bit_length()
-        bits1 = (n - 1).bit_length()
-        getrandbits = rng.getrandbits
-        for _ in range(DELETE_ATTEMPTS):
-            chosen_top = None
-            if n == 1:
-                i = 0
-            else:
-                # rng.randrange(n) and rng.randrange(n - 1) inlined
-                i = getrandbits(bits)
-                while i >= n:
-                    i = getrandbits(bits)
-                j = getrandbits(bits1)
-                while j >= n - 1:
-                    j = getrandbits(bits1)
-                if j >= i:
-                    j += 1
-                ti, tj = self.tops[i], self.tops[j]
-                if ti is None and tj is None:
-                    continue
-                if ti is None or (tj is not None and tj < ti):
-                    i, ti = j, tj
-                chosen_top = ti
-            lock = self.locks[i]
-            if not lock.acquire(False):
-                continue
-            try:
-                h = self.heaps[i]
-                if not h:
-                    self.tops[i] = None
-                    continue
-                if chosen_top is not None and h[0] is not chosen_top:
-                    # the top moved between sampling and locking, so the
-                    # two-choice comparison was stale; re-sample
-                    continue
-                it = heappop(h)
-                self.tops[i] = h[0] if h else None
-                return it
-            finally:
-                lock.release()
-        return self._sweep()
-
     def _sweep(self) -> Optional[Item]:
         """Hold every lock at once for a consistent global pop or a firm
         answer that the structure is empty."""
@@ -141,19 +74,83 @@ class MultiQueue:
 
 
 class MqHandle:
-    """Per-thread front end carrying the sequence counter and random stream."""
+    """Per-thread front end: the sequence counter, the random stream and
+    the queue's shared lists, so that each op runs in this one frame."""
 
-    __slots__ = ("q", "rng", "_seqs")
+    __slots__ = ("n", "bits", "bits1", "getrandbits", "locks", "heaps",
+                 "tops", "_sweep", "_seqs")
 
     def __init__(self, q: MultiQueue, owner: int, rng: random.Random):
-        self.q = q
-        self.rng = rng
-        self._seqs = count(make_seq(owner, 0))
+        n = self.n = q.n
+        self.bits, self.bits1 = n.bit_length(), (n - 1).bit_length()
+        self.getrandbits = rng.getrandbits
+        self.locks, self.heaps, self.tops = q.locks, q.heaps, q.tops
+        self._sweep = q._sweep
+        self._seqs = count(make_seq(owner))
 
     def insert(self, key: int) -> Item:
         it = Item(key << 64 | next(self._seqs))
-        self.q.insert_item(it, self.rng)
-        return it
+        n = self.n
+        bits = self.bits
+        getrandbits = self.getrandbits
+        for attempt in range(INSERT_ATTEMPTS + 1):
+            # rng.randrange(n) inlined: the same draws, no Python frames
+            i = getrandbits(bits)
+            while i >= n:
+                i = getrandbits(bits)
+            lock = self.locks[i]
+            # try-locks first; the attempt after them waits for its lock
+            if not lock.acquire(attempt == INSERT_ATTEMPTS):
+                continue
+            try:
+                h = self.heaps[i]
+                heappush(h, it)
+                self.tops[i] = h[0]
+            finally:
+                lock.release()
+            return it
 
     def delete_min(self) -> Optional[Item]:
-        return self.q.delete_min(self.rng)
+        n = self.n
+        bits = self.bits
+        bits1 = self.bits1
+        getrandbits = self.getrandbits
+        tops = self.tops
+        for _ in range(DELETE_ATTEMPTS):
+            chosen_top = None
+            if n == 1:
+                i = 0
+            else:
+                # rng.randrange(n) and rng.randrange(n - 1) inlined
+                i = getrandbits(bits)
+                while i >= n:
+                    i = getrandbits(bits)
+                j = getrandbits(bits1)
+                while j >= n - 1:
+                    j = getrandbits(bits1)
+                if j >= i:
+                    j += 1
+                ti, tj = tops[i], tops[j]
+                if ti is None and tj is None:
+                    continue
+                if ti is None or (tj is not None and tj < ti):
+                    i, ti = j, tj
+                chosen_top = ti
+            lock = self.locks[i]
+            if not lock.acquire(False):
+                continue
+            try:
+                h = self.heaps[i]
+                if not h:
+                    tops[i] = None
+                    continue
+                if chosen_top is not None and h[0] is not chosen_top:
+                    # the top moved between sampling and locking, so the
+                    # two-choice comparison was stale; re-sample
+                    continue
+                it = heappop(h)
+                tops[i] = h[0] if h else None
+                return it
+            finally:
+                lock.release()
+        return self._sweep()

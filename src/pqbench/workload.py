@@ -3,8 +3,8 @@
 Every thread derives its own independent generator streams from
 ``(seed, thread id, purpose)`` so runs are reproducible regardless of
 scheduling.  Key distributions and the insert/delete decision follow the
-benchmark configuration; the operation number ``opnum`` counts all
-operations a thread has generated, prefill included, so drifting key
+benchmark configuration; where keys drift or ops alternate, ``opnum``
+counts all operations a thread has generated, prefill included, so such
 patterns continue seamlessly from prefill into the measured phase.
 """
 from __future__ import annotations
@@ -96,13 +96,15 @@ class ThreadWorkload:
             raise ValueError(f"unknown workload: {workload!r}")
         self.workload = workload
         self.keys = KeyStream(keydist, seed, thread_id, nthreads)
-        self.op_rng = stream(seed, thread_id, "ops")
+        self._coin = stream(seed, thread_id, "ops").random
         self.inserter_role = thread_id in inserter_ids(workload, nthreads)
         self.depend_on_deleted = depend_on_deleted
         self.last_deleted: Optional[int] = None
         self.opnum = 0
         # KeyStream.draw, or None where keys may drift from the last deleted
         self._draw = None if depend_on_deleted else self.keys.draw
+        # self._draw where an op is the coin and at most that one call
+        self._uniform_draw = self._draw if workload == "uniform" else None
 
     def _next_key(self) -> int:
         if self.depend_on_deleted and self.last_deleted is not None:
@@ -112,9 +114,12 @@ class ThreadWorkload:
     def next(self) -> Tuple[str, Optional[int]]:
         """The next operation: (INSERT, key) or (DELETE, None).  Uniform
         keys are drawn in this frame, as :meth:`KeyStream.key` draws them."""
+        draw = self._uniform_draw
+        if draw is not None:    # no key reads opnum on this path
+            return (INSERT, draw()) if self._coin() < 0.5 else _DELETE_OP
         w = self.workload
         if w == "uniform":
-            insert = self.op_rng.random() < 0.5    # a fair coin
+            insert = self._coin() < 0.5    # a fair coin
         elif w == "split":
             insert = self.inserter_role
         else:  # alternating

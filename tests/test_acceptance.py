@@ -91,7 +91,7 @@ def test_02_structural_invariants_hold_after_every_op(capsys):
     for op in range(100_000):
         if rng.random() < 0.55:
             from pqbench.core import make_seq
-            lsm.insert(item(rng.getrandbits(32), make_seq(0, counter)))
+            lsm.insert(item(rng.getrandbits(32), make_seq(0) + counter))
             counter += 1
         else:
             lsm.delete_min()

@@ -110,15 +110,15 @@ def test_insert_takes_int_keys_only(queue):
     (SeqLsmQueue, (), False),
 ], ids=["klsm", "multiq", "globallock", "seqlsm"])
 def test_seq_layout_per_queue_kind(make, args, per_handle):
-    """Per-handle kinds give handle t's i-th insert ``make_seq(t, i)``; the
-    one-heap kinds give the n-th insert of the queue ``make_seq(0, n)``.
+    """Per-handle kinds give handle t's i-th insert ``make_seq(t) + i``; the
+    one-heap kinds give the n-th insert of the queue ``make_seq(0) + n``.
     Inserts alternate between two handles, so a counter that is shared or
     reset by mistake fails here by name."""
     queue = make(*args)
     handles = [queue.register(random.Random(t)) for t in range(2)]
     for i in range(40):     # 40 per handle: klsm with k=16 spills
         for t, h in enumerate(handles):
-            want = make_seq(t, i) if per_handle else make_seq(0, 2 * i + t)
+            want = make_seq(t) + i if per_handle else make_seq(0) + 2 * i + t
             got = h.insert(1000 - i).seq
             assert got == want, (f"handle {t}, insert {i}: seq {got:#x}, "
                                  f"want {want:#x}")
@@ -338,7 +338,7 @@ class _StubQueue:
         if self.fail:
             raise KeyError("stub queue failure")
         self.seq += 1
-        return item(key, make_seq(0, self.seq))
+        return item(key, make_seq(0) + self.seq)
 
     def delete_min(self):
         if self.fail:

@@ -161,12 +161,37 @@ def test_csv_round_trip_reproduces_summary(tmp_path):
     assert all(r["violations"] == "0" for r in recs)
 
 
-def test_unwritable_csv_path_exits_1(tmp_path, capsys):
+def test_unwritable_csv_path_exits_1(tmp_path, monkeypatch, capsys):
+    """The destination is checked before any repetition runs."""
+    def must_not_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_benchmark", must_not_run)
     bad = tmp_path / "no" / "such" / "dir" / "x.csv"
-    code = main(["--queue", "globallock", "--prefill", "10",
-                 "--duration-s", "0.05", "--reps", "1", "--csv", str(bad)])
+    code = main(["--queue", "globallock", "--prefill", "100",
+                 "--duration-s", "0.5", "--reps", "2", "--csv", str(bad)])
     assert code == 1
-    assert "cannot write report" in capsys.readouterr().err
+    assert "error: cannot write report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_csv_check_leaves_the_destination_as_it_was(tmp_path, monkeypatch,
+                                                    existing):
+    """The early check truncates no report and leaves no empty file behind
+    when the run then fails."""
+    path = tmp_path / "report.csv"
+    if existing:
+        path.write_text("kept\n")
+
+    def failing_run(cfg):
+        raise bench.SelfCheckError("conservation violated")
+
+    monkeypatch.setattr(cli, "run_benchmark", failing_run)
+    assert main(["--queue", "globallock", "--csv", str(path)]) == 1
+    if existing:
+        assert path.read_text() == "kept\n"
+    else:
+        assert not path.exists()
 
 
 def test_failed_worker_exits_1(monkeypatch, capsys):

@@ -16,7 +16,7 @@ from pqbench.slsm import Slsm
 
 
 def items(keys, start_seq=0, tid=0):
-    return [item(k, make_seq(tid, start_seq + i)) for i, k in enumerate(keys)]
+    return [item(k, make_seq(tid) + start_seq + i) for i, k in enumerate(keys)]
 
 
 def take(*its):
@@ -36,26 +36,21 @@ def keys_of(block_or_list):
 # sequence numbers
 
 def test_make_seq_packs_thread_and_counter():
-    s = make_seq(3, 7)
+    s = make_seq(3) + 7
     assert s >> SEQ_THREAD_SHIFT == 3
     assert s & ((1 << SEQ_THREAD_SHIFT) - 1) == 7
 
 
 def test_make_seq_distinct_across_threads():
-    seqs = {make_seq(t, c) for t in range(8) for c in range(100)}
+    seqs = {make_seq(t) + c for t in range(8) for c in range(100)}
     assert len(seqs) == 800
-
-
-def test_make_seq_rejects_counter_overflow():
-    with pytest.raises(OverflowError):
-        make_seq(0, 1 << SEQ_THREAD_SHIFT)
 
 
 def test_make_seq_keeps_seqs_below_the_key_bits():
     top = (1 << (64 - SEQ_THREAD_SHIFT)) - 1
-    assert make_seq(top, (1 << SEQ_THREAD_SHIFT) - 1) == (1 << 64) - 1
+    assert make_seq(top) + ((1 << SEQ_THREAD_SHIFT) - 1) == (1 << 64) - 1
     with pytest.raises(OverflowError):
-        make_seq(top + 1, 0)
+        make_seq(top + 1)
 
 
 # ----------------------------------------------------------------------
@@ -128,8 +123,8 @@ def test_merge_blocks_doubles_capacity():
 
 
 def test_merge_blocks_tie_breaks_by_seq():
-    young = item(3, make_seq(0, 0))
-    old = item(3, make_seq(0, 5))
+    young = item(3, make_seq(0))
+    old = item(3, make_seq(0) + 5)
     m = place_pair(Block(1, [old]), Block(1, [young]))
     assert m.capacity == 2
     assert [it.seq for it in m.items] == [young.seq, old.seq]
@@ -437,7 +432,7 @@ def test_block_check_rejects_underfull():
 
 
 def test_block_check_rejects_unsorted():
-    bad = [item(5, make_seq(0, 0)), item(1, make_seq(0, 1))]
+    bad = [item(5, make_seq(0)), item(1, make_seq(0) + 1)]
     with pytest.raises(ValueError):
         Block(2, bad).check()
 
@@ -447,21 +442,21 @@ def test_block_check_rejects_unsorted():
 
 def test_insert_into_empty_makes_singleton_block():
     lsm = Lsm()
-    lsm.insert(item(42, make_seq(0, 0)))
+    lsm.insert(item(42, make_seq(0)))
     assert [b.capacity for b in lsm.blocks] == [1]
 
 
 def test_three_inserts_make_capacities_2_and_1():
     lsm = Lsm()
     for i, k in enumerate([5, 1, 9]):
-        lsm.insert(item(k, make_seq(0, i)))
+        lsm.insert(item(k, make_seq(0) + i))
     assert sorted(b.capacity for b in lsm.blocks) == [1, 2]
 
 
 def test_fourth_insert_collapses_to_single_block():
     lsm = Lsm()
     for i in range(4):
-        lsm.insert(item(i, make_seq(0, i)))
+        lsm.insert(item(i, make_seq(0) + i))
     assert [b.capacity for b in lsm.blocks] == [4]
 
 
@@ -469,7 +464,7 @@ def test_fourth_insert_collapses_to_single_block():
 def test_capacities_follow_binary_decomposition(n):
     lsm = Lsm()
     for i in range(n):
-        lsm.insert(item(i * 7 % 31, make_seq(0, i)))
+        lsm.insert(item(i * 7 % 31, make_seq(0) + i))
     caps = sorted((b.capacity for b in lsm.blocks), reverse=True)
     binary = [1 << b for b in range(n.bit_length()) if n >> b & 1]
     assert caps == sorted(binary, reverse=True)
@@ -479,7 +474,7 @@ def test_capacities_follow_binary_decomposition(n):
 def test_delete_min_returns_global_minimum():
     lsm = Lsm()
     for i, k in enumerate([5, 2, 9]):
-        lsm.insert(item(k, make_seq(0, i)))
+        lsm.insert(item(k, make_seq(0) + i))
     assert lsm.delete_min().key == 2
 
 
@@ -490,7 +485,7 @@ def test_delete_min_empty_returns_none():
 def test_peek_then_delete_agree():
     lsm = Lsm()
     for i, k in enumerate([5, 2, 9]):
-        lsm.insert(item(k, make_seq(0, i)))
+        lsm.insert(item(k, make_seq(0) + i))
     blk, it = lsm.peek_min()
     assert it.key == 2
     assert lsm.delete_min() is it
@@ -499,7 +494,7 @@ def test_peek_then_delete_agree():
 def test_size_counts_live_items():
     lsm = Lsm()
     for i in range(10):
-        lsm.insert(item(i, make_seq(0, i)))
+        lsm.insert(item(i, make_seq(0) + i))
     assert lsm.size == 10
     lsm.delete_min()
     assert lsm.size == 9 == sum(b.occupancy for b in lsm.blocks)
@@ -514,8 +509,8 @@ def test_thousand_inserts_then_deletes_match_heap_oracle():
     oracle = []
     for i in range(1000):
         key = rng.getrandbits(16)
-        lsm.insert(item(key, make_seq(0, i)))
-        heapq.heappush(oracle, (key, make_seq(0, i)))
+        lsm.insert(item(key, make_seq(0) + i))
+        heapq.heappush(oracle, (key, make_seq(0) + i))
     out = []
     while True:
         it = lsm.delete_min()
@@ -537,8 +532,8 @@ def test_mixed_ops_match_heap_oracle_with_invariants():
             assert (got.key, got.seq) == want
         else:
             key = rng.getrandbits(12)
-            lsm.insert(item(key, make_seq(0, i)))
-            heapq.heappush(oracle, (key, make_seq(0, i)))
+            lsm.insert(item(key, make_seq(0) + i))
+            heapq.heappush(oracle, (key, make_seq(0) + i))
         if i % 64 == 0:
             lsm.check()
     lsm.check()
@@ -548,7 +543,7 @@ def test_shrink_rule_halves_capacity():
     """Consuming down to half occupancy halves the block's capacity."""
     lsm = Lsm()
     for i in range(8):
-        lsm.insert(item(i, make_seq(0, i)))
+        lsm.insert(item(i, make_seq(0) + i))
     assert [b.capacity for b in lsm.blocks] == [8]
     for _ in range(4):
         lsm.delete_min()
@@ -560,7 +555,7 @@ def test_shrink_merges_on_capacity_collision():
     """A shrinking block merges with an existing block of the target size."""
     lsm = Lsm()
     for i in range(12):   # capacities 8 + 4
-        lsm.insert(item(i, make_seq(0, i)))
+        lsm.insert(item(i, make_seq(0) + i))
     assert sorted(b.capacity for b in lsm.blocks) == [4, 8]
     for _ in range(4):    # the cap-8 block holds keys 0..7, so its head dies
         lsm.delete_min()
@@ -578,7 +573,7 @@ def killed_heads_lsm():
     2-block empties."""
     lsm = Lsm()
     for i in range(14):
-        lsm.insert(item(i, make_seq(0, i)))
+        lsm.insert(item(i, make_seq(0) + i))
     table = ClaimTable()
     for it in lsm.live_items():
         if it.key < 4 or it.key >= 12:
@@ -614,7 +609,7 @@ def test_peek_min_after_killed_heads_is_live_minimum():
 
 def test_claim_is_one_shot():
     table = ClaimTable()
-    it = item(1, make_seq(0, 0))
+    it = item(1, make_seq(0))
     assert table.try_claim(it)
     assert not table.try_claim(it)
     assert it.taken
@@ -628,7 +623,7 @@ def test_claims_leave_every_stripe_free():
     def free():
         return not any(lock.locked() for lock in table._locks)
 
-    it = item(1, make_seq(0, 5))
+    it = item(1, make_seq(0) + 5)
     assert table.try_claim(it) and free()
     assert not table.try_claim(it) and free()
 
@@ -638,7 +633,7 @@ def test_claims_leave_every_stripe_free():
         __slots__ = ()
         taken = property(lambda self, reads=count(): next(reads) > 0)
 
-    assert not table.try_claim(LosesTheRace(2 << 64 | make_seq(0, 6)))
+    assert not table.try_claim(LosesTheRace(2 << 64 | make_seq(0) + 6))
     assert free()
 
 

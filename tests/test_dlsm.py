@@ -20,7 +20,7 @@ def group(threads):
 
 def fill(handle, keys):
     for i, k in enumerate(keys):
-        handle.insert(item(k, make_seq(handle.owner, i)))
+        handle.insert(item(k, make_seq(handle.owner) + i))
 
 
 def delete_min(handle):
@@ -65,8 +65,8 @@ def test_single_thread_matches_heap_oracle():
             assert (got.key, got.seq) == heapq.heappop(oracle)
         else:
             key = rng.getrandbits(12)
-            h.insert(item(key, make_seq(0, i)))
-            heapq.heappush(oracle, (key, make_seq(0, i)))
+            h.insert(item(key, make_seq(0) + i))
+            heapq.heappush(oracle, (key, make_seq(0) + i))
     got = drain(h)
     assert [(it.key, it.seq) for it in got] == sorted(oracle)
 
@@ -128,7 +128,7 @@ def test_published_snapshots_satisfy_block_invariants():
     h0, _ = shared.register(), shared.register()
     rng = random.Random(5)
     for i in range(500):
-        h0.insert(item(rng.getrandbits(10), make_seq(0, i)))
+        h0.insert(item(rng.getrandbits(10), make_seq(0) + i))
         if rng.random() < 0.3:
             delete_min(h0)
     for blk in shared.slots[0]:
@@ -192,7 +192,7 @@ def test_concurrent_hammer_conserves_items():
         inserted = 0
         while inserted < per_thread:
             if rng.random() < 0.6:
-                h.insert(item(rng.getrandbits(16), make_seq(idx, inserted)))
+                h.insert(item(rng.getrandbits(16), make_seq(idx) + inserted))
                 inserted += 1
             else:
                 it = delete_min(h)
@@ -220,7 +220,7 @@ def test_spy_memoizes_dead_snapshots_until_republish():
     assert delete_min(a) is None
     assert 1 in a._dead_snaps          # b's snapshot proven fully consumed
     assert delete_min(a) is None      # served by the memo, not a rescan
-    b.insert(item(3, make_seq(1, 2)))  # republish replaces the snapshot
+    b.insert(item(3, make_seq(1) + 2))  # republish replaces the snapshot
     assert delete_min(a).key == 3
 
 
@@ -257,7 +257,7 @@ def test_kept_size_matches_block_occupancy_after_every_op(monkeypatch):
         h = rng.choice(handles)
         r = rng.random()
         if r < 0.45:
-            h.insert(item(rng.getrandbits(8), make_seq(h.owner, counters[h.owner])))
+            h.insert(item(rng.getrandbits(8), make_seq(h.owner) + counters[h.owner]))
             counters[h.owner] += 1
         elif r < 0.7:
             delete_min(h)

@@ -69,7 +69,7 @@ def test_delete_takes_smaller_of_both_parts():
     q = Klsm(k=100, threads=1)       # large k: nothing spills, window is tiny
     h = q.register(random.Random(0))
     h.insert(7)
-    q.slsm.insert_batch(Block(1, [item(3, make_seq(7, 0))]))
+    q.slsm.insert_batch(Block(1, [item(3, make_seq(7))]))
     assert h.delete_min().key == 3   # shared min 3 beats local min 7
     assert h.delete_min().key == 7
     assert h.delete_min() is None

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from pqbench.multiqueue import MultiQueue
+from pqbench.multiqueue import DELETE_ATTEMPTS, MultiQueue
 
 
 def drain(handle):
@@ -185,3 +185,64 @@ def test_mean_rank_grows_with_queue_count():
     relaxed = mean_rank(32)
     assert exact == 1.0
     assert relaxed > exact
+
+
+class RandrangeMultiQueue:
+    """The MultiQueue's choices for one thread, whose try-locks always
+    succeed, written with ``random.randrange``."""
+
+    def __init__(self, n, rng):
+        self.n = n
+        self.rng = rng
+        self.heaps = [[] for _ in range(n)]
+
+    def insert(self, it):
+        heapq.heappush(self.heaps[self.rng.randrange(self.n)], it)
+
+    def delete_min(self):
+        n, heaps = self.n, self.heaps
+        for _ in range(DELETE_ATTEMPTS):
+            if n == 1:
+                i = 0
+            else:
+                i = self.rng.randrange(n)
+                j = self.rng.randrange(n - 1)
+                if j >= i:
+                    j += 1
+                if not heaps[i] and not heaps[j]:
+                    continue
+                if not heaps[i] or (heaps[j] and heaps[j][0] < heaps[i][0]):
+                    i = j
+            if heaps[i]:
+                return heapq.heappop(heaps[i])
+        live = [h for h in heaps if h]
+        return heapq.heappop(min(live, key=lambda h: h[0])) if live else None
+
+
+@pytest.mark.parametrize("c,p", [(1, 1), (2, 1), (3, 1), (5, 1), (4, 2),
+                                 (4, 8)])
+def test_draws_match_randrange_reference(c, p):
+    """Every insert lands in the heap ``randrange`` picks, every delete
+    returns the item the reference pops, and both leave the generator in
+    the same state: the inlined draws are ``randrange``'s, for any n."""
+    q = MultiQueue(threads=p, c=c)
+    rng = random.Random(c * 100 + p)
+    h = q.register(rng)
+    ref_rng = random.Random(c * 100 + p)
+    ref = RandrangeMultiQueue(q.n, ref_rng)
+    ops = random.Random(7)
+    for step in range(1500):
+        # insert-heavy, then delete-heavy, so the queue also runs empty
+        if ops.random() < (0.6 if step < 800 else 0.3):
+            it = h.insert(ops.getrandbits(8))
+            ref.insert(it)
+            assert q.heaps == ref.heaps, step
+        else:
+            assert h.delete_min() is ref.delete_min(), step
+    while True:
+        it = h.delete_min()
+        assert it is ref.delete_min()
+        if it is None:
+            break
+    assert q.heaps == ref.heaps
+    assert rng.getstate() == ref_rng.getstate()

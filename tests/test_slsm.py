@@ -21,7 +21,7 @@ def shared(k):
 
 
 def batch(keys, tid=0, start_seq=0, capacity=None):
-    its = sorted((item(k, make_seq(tid, start_seq + i)) for i, k in enumerate(keys)),
+    its = sorted((item(k, make_seq(tid) + start_seq + i) for i, k in enumerate(keys)),
                  key=lambda it: (it.key, it.seq))
     cap = capacity
     if cap is None:
@@ -80,8 +80,8 @@ def test_window_covers_all_when_small():
 def test_scan_window_hand_example():
     """Blocks [1,4,9] and [2,3,50] with k=3 give the window 1..4; their
     equal capacities merge on the way."""
-    a = Block(4, [item(k, make_seq(0, i)) for i, k in enumerate([1, 4, 9])])
-    b = Block(4, [item(k, make_seq(1, i)) for i, k in enumerate([2, 3, 50])])
+    a = Block(4, [item(k, make_seq(0) + i) for i, k in enumerate([1, 4, 9])])
+    b = Block(4, [item(k, make_seq(1) + i) for i, k in enumerate([2, 3, 50])])
     blocks, members = _scan_window((a, b), 3)
     assert [it.key for it in members] == [1, 2, 3, 4]   # ascending scan order
     assert [blk.capacity for blk in blocks] == [8]
@@ -89,7 +89,7 @@ def test_scan_window_hand_example():
 
 
 def test_scan_window_moves_heads_on_new_blocks():
-    items = [item(k, make_seq(0, i)) for i, k in enumerate([1, 2, 3, 4])]
+    items = [item(k, make_seq(0) + i) for i, k in enumerate([1, 2, 3, 4])]
     a = Block(4, items)
     claims = ClaimTable()
     assert claims.try_claim(items[0]) and claims.try_claim(items[1])
@@ -183,8 +183,8 @@ def test_scan_window_matches_sorted_live_oracle(case):
 def test_scan_window_widens_past_taken_slots():
     """The first block's first k+1 slots hold two live items, so the cut
     is found further on; the other block gives only its items up to it."""
-    a = Block(8, [item(k, make_seq(0, k)) for k in range(8)])
-    b = Block(4, [item(k, make_seq(1, k)) for k in (2, 5, 6, 9)])
+    a = Block(8, [item(k, make_seq(0) + k) for k in range(8)])
+    b = Block(4, [item(k, make_seq(1) + k) for k in (2, 5, 6, 9)])
     claims = ClaimTable()
     for it in a.items[1:4]:
         assert claims.try_claim(it)
@@ -195,16 +195,16 @@ def test_scan_window_widens_past_taken_slots():
 
 def test_scan_window_without_a_cut_reads_every_block():
     """A first block with fewer than k+1 live items gives no cut."""
-    a = Block(4, [item(k, make_seq(0, k)) for k in (1, 3, 8)])
-    b = Block(2, [item(k, make_seq(1, k)) for k in (2, 20)])
-    c = Block(1, [item(30, make_seq(2, 0))])
+    a = Block(4, [item(k, make_seq(0) + k) for k in (1, 3, 8)])
+    b = Block(2, [item(k, make_seq(1) + k) for k in (2, 20)])
+    c = Block(1, [item(30, make_seq(2))])
     assert CLAIMS.try_claim(a.items[1])
     _, members = _scan_window((a, b, c), 5)
     assert [it.key for it in members] == [1, 2, 8, 20, 30]
 
 
 def test_scan_window_of_nothing_live_is_empty():
-    a = Block(2, [item(k, make_seq(0, k)) for k in (1, 2)])
+    a = Block(2, [item(k, make_seq(0) + k) for k in (1, 2)])
     assert CLAIMS.try_claim(a.items[0]) and CLAIMS.try_claim(a.items[1])
     assert _scan_window((a,), 3) == _scan_window((), 3) == ((), ())
 
@@ -226,7 +226,7 @@ def test_window_holds_an_item_in_two_blocks_once():
     """A live item in two shared blocks (a spied copy spilled apart from
     its original) takes one window slot and counts once."""
     s = shared(3)
-    a = [item(k, make_seq(0, k)) for k in (1, 2, 3, 4)]
+    a = [item(k, make_seq(0) + k) for k in (1, 2, 3, 4)]
     s.insert_batch(fitted(a))
     s.insert_batch(fitted([a[1], item(9, 9)]))
     window = s.window_items()
