@@ -29,6 +29,12 @@ class SeqLsmQueue:
         self.lsm.insert(it)
         return it
 
+    def prefill(self, keys: List[int]) -> List[Item]:
+        """The items and blocks of one :meth:`insert` per key, if empty."""
+        items = [Item(key << 64 | seq) for key, seq in zip(keys, self._seqs)]
+        self.lsm.fill(items)
+        return items
+
     def delete_min(self) -> Optional[Item]:
         return self.lsm.delete_min()
 

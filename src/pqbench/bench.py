@@ -105,6 +105,9 @@ class BenchConfig:
                               f"{threading.TIMEOUT_MAX:.0f} s")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        if self.mode == "quality" and self.prefill > MAX_LOG_EVENTS:
+            raise ConfigError(f"a quality prefill logs every insert; "
+                              f"at most {MAX_LOG_EVENTS} fit the log")
 
     @property
     def bound(self) -> Optional[int]:
@@ -303,17 +306,23 @@ def _build_run(cfg: BenchConfig, rep: int):
 
 
 def _prefill(cfg: BenchConfig, wls, handles, log=None, track=None):
+    """Each inserting thread's share, in turn.  A handle with ``prefill``
+    (klsm, seqlsm) builds in sorted runs what its inserts would leave."""
     ids = inserter_ids(cfg.workload, cfg.threads)
     shares = prefill_shares(cfg.prefill, len(ids))
     for tid, share in zip(ids, shares):
         handle, wl = handles[tid], wls[tid]
-        for _ in range(share):
-            key = wl.prefill_key()
-            it = handle.insert(key)
-            if log is not None:
-                log.append(OpRecord(INSERT, key, it.seq, len(log) + 1, tid))
-            if track is not None:
-                track[tid][0].append(key)
+        prefill = getattr(handle, "prefill", None)
+        # one insert per key as it is drawn: a long list of drawn keys is
+        # cold in cache by the time it is read back
+        items = ([handle.insert(wl.prefill_key()) for _ in range(share)]
+                 if prefill is None
+                 else prefill([wl.prefill_key() for _ in range(share)]))
+        if log is not None:
+            log.extend(OpRecord(INSERT, it.key, it.seq, ts, tid)
+                       for ts, it in enumerate(items, len(log) + 1))
+        if track is not None:
+            track[tid][0].extend(it.key for it in items)
 
 
 def _drain(handle) -> List[int]:

@@ -100,18 +100,22 @@ def fit_capacity(occupancy: int) -> int:
     return 1 << (occupancy - 1).bit_length()
 
 
+def sorted_live(items: List[Item]) -> List[Item]:
+    """Sort ``items`` in place, then drop taken items and second copies in
+    one pass: an item that reached the list twice (a spied copy spilled
+    next to its original) sorts next to itself."""
+    items.sort()
+    prev = None
+    return [prev := it for it in items if not it.taken and it is not prev]
+
+
 def merge_sorted_live(
     items_a: List[Item], start_a: int, items_b: List[Item], start_b: int
 ) -> List[Item]:
-    """Merge of the live tails of two sorted item lists, each item once.
-
-    Timsort merges the two sorted runs in C, then one pass drops consumed
-    (taken) items and second copies: an item that reached both inputs (a
-    spied copy spilled next to its original) sorts next to itself, so a
-    kept item equal to the last kept one is a copy.  Inputs are never
-    mutated, so the result can safely replace blocks that snapshots still
-    reference.  Two tails of one item each, the commonest merge, are
-    compared directly with the same outcome.
+    """Merge of the live tails of two sorted item lists by
+    :func:`sorted_live`.  Inputs are never mutated, so the result can
+    safely replace blocks that snapshots still reference.  Two tails of one
+    item each, the commonest merge, are compared directly, same outcome.
     """
     if len(items_a) == start_a + 1 and len(items_b) == start_b + 1:
         x, y = items_a[start_a], items_b[start_b]
@@ -120,10 +124,7 @@ def merge_sorted_live(
         if y.taken or x is y:
             return [x]
         return [y, x] if y < x else [x, y]
-    out = items_a[start_a:] + items_b[start_b:]
-    out.sort()
-    prev = None
-    return [prev := it for it in out if not it.taken and it is not prev]
+    return sorted_live(items_a[start_a:] + items_b[start_b:])
 
 
 class Block:
@@ -250,6 +251,21 @@ class Lsm:
 
     def insert(self, item: Item) -> None:
         self.size += 1 - place(self.blocks, Block(1, [item]))
+
+    def fill(self, items: List[Item]) -> None:
+        """Into an empty queue, the blocks that inserting ``items`` in order
+        leaves.  With nothing taken, each merge joins two adjacent insertion
+        ranges, so that is one full block per set bit of the count, largest
+        and oldest first (Bentley & Saxe's logarithmic method)."""
+        if self.blocks:
+            raise ValueError("fill needs an empty queue")
+        n, start = len(items), 0
+        for bit in reversed(range(n.bit_length())):
+            cap = 1 << bit
+            if n & cap:
+                self.blocks.append(Block(cap, sorted(items[start:start + cap])))
+                start += cap
+        self.size = n
 
     def peek_min(self) -> Optional[Tuple[Block, Item]]:
         """Smallest live head and the block to pop it from, in one walk.

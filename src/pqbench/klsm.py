@@ -16,7 +16,7 @@ import random
 from itertools import count
 from typing import List, Optional
 
-from .core import ClaimTable, Item, make_seq
+from .core import Block, ClaimTable, Item, make_seq
 from .dlsm import DlsmHandle, DlsmShared
 from .slsm import Slsm
 
@@ -72,6 +72,21 @@ class KlsmHandle:
             self.dlsm.publish()
             self.q.slsm.insert_batch(blk)
         return it
+
+    def prefill(self, keys: List[int]) -> List[Item]:
+        """The items and state of one :meth:`insert` per key into an empty
+        local part.  It spills its largest, oldest block, of ``top`` items,
+        each time it reaches k+1; so the spills are the ranges
+        ``[j*top, (j+1)*top)`` while ``j*top + k + 1 <= n``."""
+        items = [Item(key << 64 | seq) for key, seq in zip(keys, self._seqs)]
+        k = self.q.k
+        top = 1 << (k + 1).bit_length() - 1
+        spilled = max(0, len(items) - k - 1 + top) // top * top
+        self.dlsm.local.fill(items[spilled:])
+        for j in range(0, spilled, top):
+            self.q.slsm.insert_batch(Block(top, sorted(items[j:j + top])))
+        self.dlsm.publish()
+        return items
 
     def delete_min(self) -> Optional[Item]:
         """One of the k*P+1 smallest live items, or None if observed empty."""

@@ -17,7 +17,7 @@ import threading
 from bisect import bisect_right
 from typing import List, Optional, Tuple
 
-from .core import Block, Item, compact, fitted, place
+from .core import Block, Item, compact, fitted, place, sorted_live
 # unused here, but kept bound: tracers patch merge_sorted_live in this module
 from .core import merge_sorted_live  # noqa: F401
 
@@ -52,12 +52,9 @@ def _scan_window(blocks, k):
     above it can be among the k+1 smallest.  That block's slice widens
     past taken slots until it holds k+1 live items or the block runs out.
     Every other block contributes its items up to the cut (found by
-    bisection), and one sort plus one pass that drops taken items and
-    second copies orders them.  One item may sit in two blocks (a spied
-    copy spilled apart from its original); its copies compare equal, so
-    they sort next to each other and only the first is kept.  A first
-    block with fewer than k+1 live items gives no cut, and every block
-    contributes all of its items.
+    bisection), and :func:`~pqbench.core.sorted_live` orders them, each
+    live item once.  A first block with fewer than k+1 live items gives no
+    cut, and every block contributes all of its items.
     """
     blocks = compact(blocks)
     if not blocks:
@@ -75,10 +72,7 @@ def _scan_window(blocks, k):
         stop = (len(items) if cut is None
                 else bisect_right(items, cut, blk.head))
         live += items[blk.head:stop]
-    live.sort()
-    prev = None
-    members = [prev := it for it in live if not it.taken and it is not prev]
-    return tuple(blocks), tuple(members[:k + 1])
+    return tuple(blocks), tuple(sorted_live(live)[:k + 1])
 
 
 class Slsm:

@@ -59,6 +59,7 @@ def deletes_only(monkeypatch):
     dict(reps=0),
     dict(workload="split", threads=2, depend_on_deleted=True),
     dict(workload="split", threads=1),
+    dict(mode="quality", prefill=bench.MAX_LOG_EVENTS + 1),
 ])
 def test_validate_rejects(bad):
     with pytest.raises(ConfigError):
@@ -67,6 +68,15 @@ def test_validate_rejects(bad):
 
 def test_validate_accepts_defaults():
     BenchConfig().validate()
+
+
+def test_validate_reads_the_log_cap_at_call_time(monkeypatch):
+    """Only a quality prefill is logged, and it may fill the cap exactly."""
+    monkeypatch.setattr(bench, "MAX_LOG_EVENTS", 100)
+    cfg(mode="quality", prefill=100).validate()
+    cfg(prefill=101).validate()
+    with pytest.raises(ConfigError):
+        cfg(mode="quality", prefill=101).validate()
 
 
 def test_bound_per_queue():

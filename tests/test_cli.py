@@ -87,6 +87,19 @@ def test_split_with_depend_on_deleted_exits_2(monkeypatch, capsys):
     assert "no effect under split" in capsys.readouterr().err
 
 
+def test_quality_prefill_past_the_log_cap_exits_2(monkeypatch, capsys):
+    """The prefill alone would overflow the log: fail before building it."""
+    def must_not_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_benchmark", must_not_run)
+    with pytest.raises(SystemExit) as e:
+        main(["--mode", "quality", "--prefill", str(bench.MAX_LOG_EVENTS + 1),
+              "--duration-s", "0.05", "--reps", "1"])
+    assert e.value.code == 2
+    assert "fit the log" in capsys.readouterr().err
+
+
 def test_every_config_field_is_a_cli_setting():
     """A flag sets every field, so no setting exists that only code can
     reach: with every flag away from its default, no field keeps its own."""

@@ -3,7 +3,8 @@
 Speed work on the LSM and MultiQueue paths must not change which item
 any operation returns.  Each case drives a seeded single-thread mix of
 inserts and deletes (16-bit keys over a 3 000-item prefill unless the case
-names another shape), then drains the queue, and hashes the
+names another shape; the harness cases prefill through ``bench._prefill``
+at the benchmark's shapes), then drains the queue, and hashes the
 seq of every deletion in order (an absent delete hashes as a marker)
 together with the shared LSM's final ``version`` (0 for queues without
 one).  A mismatch means an operation now returns a different item or the
@@ -19,6 +20,7 @@ import random
 
 import pytest
 
+from pqbench import bench
 from pqbench.baseline import LockedHeap, SeqLsmQueue
 from pqbench.klsm import Klsm
 from pqbench.multiqueue import MultiQueue
@@ -70,6 +72,15 @@ def seqlsm_case():
     return q, [q]
 
 
+def harness_case(seed, keys, **shape):
+    """A queue and handles prefilled by the benchmark harness itself; its
+    cases pass a prefill of 0 to :func:`digest`."""
+    cfg = bench.BenchConfig(keys=keys, seed=seed, **shape)
+    queue, wls, handles = bench._build_run(cfg, 0)
+    bench._prefill(cfg, wls, handles)
+    return queue, handles
+
+
 CASES = {
     # name: (build, seed, digest, slsm.version[, key bits, prefill])
     "klsm-k4": (lambda: klsm_case(4, 1), 41, "b768e70d039e1fcd", 3255),
@@ -86,6 +97,17 @@ CASES = {
     # compares
     "multiq-1x4": (lambda: multiq_case(1, 4), 48, "dac5561b92f02b6b", 0),
     "multiq-2x4-two-handles": (lambda: multiq_case(2, 4), 49, "68d91798f3b4f8f9", 0),
+    # prefilled through bench._prefill at the benchmark's shapes
+    "klsm-k256-harness-30k": (
+        lambda: harness_case(51, "uniform32", queue="klsm", k=256, prefill=30000),
+        51, "b0437d0fbf4ea598", 315, 32, 0),
+    "klsm-k16-p2-harness-10k": (
+        lambda: harness_case(52, "uniform16", queue="klsm", k=16, threads=2,
+                             prefill=10000),
+        52, "b6f5d92222cb71db", 1320, 16, 0),
+    "seqlsm-harness-30k": (
+        lambda: harness_case(53, "uniform32", queue="seqlsm", prefill=30000),
+        53, "539d01a523bb7df3", 0, 32, 0),
 }
 
 
