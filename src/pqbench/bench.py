@@ -25,10 +25,10 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
 from operator import eq, itemgetter
-from statistics import fmean, stdev
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .baseline import LockedHeap, SeqLsmQueue
+from .core import SEQ_THREAD_SHIFT
 from .klsm import Klsm, rank_bound
 from .multiqueue import MultiQueue
 from .ranks import OpRecord, replay_ranks, summarize_ranks
@@ -42,6 +42,8 @@ MODES = ("throughput", "quality")
 
 REP_SEED_STRIDE = 1000003
 MAX_LOG_EVENTS = 20_000_000
+# a seq holds its thread id in the bits above SEQ_THREAD_SHIFT
+MAX_THREADS = 1 << (64 - SEQ_THREAD_SHIFT)
 
 
 class ConfigError(ValueError):
@@ -88,8 +90,8 @@ class BenchConfig:
             raise ConfigError("k must be >= 0")
         if self.c < 1:
             raise ConfigError("c must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ConfigError(f"threads must be between 1 and {MAX_THREADS}")
         if self.queue == "seqlsm" and self.threads != 1:
             raise ConfigError("seqlsm is single-threaded; use --threads 1")
         if self.workload == "split" and self.threads < 2:
@@ -202,10 +204,13 @@ def mean_ci95(xs: Sequence[float]) -> Tuple[float, Optional[float]]:
     reported as None (absent), not zero.
     """
     n = len(xs)
-    m = fmean(xs)
+    m = math.fsum(xs) / n
     if n < 2:
         return m, None
-    return m, _t975(n - 1) * stdev(xs) / math.sqrt(n)
+    # sums of squares shifted by one sample: constant samples give exactly 0
+    d = [x - xs[0] for x in xs]
+    var = (math.fsum(v * v for v in d) - math.fsum(d) ** 2 / n) / (n - 1)
+    return m, _t975(n - 1) * math.sqrt(var / n)
 
 
 # ----------------------------------------------------------------------
@@ -456,10 +461,11 @@ def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
 # full runs
 
 def aggregate(results: Sequence[RepResult]) -> Summary:
+    n = len(results)
     mops_mean, mops_ci = mean_ci95([r.mops_per_sec for r in results])
     summary = Summary(
-        reps=len(results),
-        ops_total_mean=fmean(r.ops_total for r in results),
+        reps=n,
+        ops_total_mean=math.fsum(r.ops_total for r in results) / n,
         mops_mean=mops_mean,
         mops_ci95=mops_ci,
     )
@@ -467,7 +473,7 @@ def aggregate(results: Sequence[RepResult]) -> Summary:
         rm, rci = mean_ci95([r.rank_mean for r in results])
         summary.rank_mean = rm
         summary.rank_mean_ci95 = rci
-        summary.rank_std_mean = fmean(r.rank_std for r in results)
+        summary.rank_std_mean = math.fsum(r.rank_std for r in results) / n
         summary.rank_max = max(r.rank_max for r in results)
         if all(r.violations is not None for r in results):
             summary.violations = sum(r.violations for r in results)

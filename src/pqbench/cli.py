@@ -22,50 +22,53 @@ CSV_FIELDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per :class:`BenchConfig` field, defaulting to the field's
+    own default, plus ``--csv``."""
+    d = BenchConfig()
     p = argparse.ArgumentParser(
         prog="pqbench",
         description="Throughput and ordering-quality benchmarks for "
                     "relaxed concurrent priority queues.",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    p.add_argument("--queue", choices=QUEUE_KINDS, default="klsm")
-    p.add_argument("--k", type=int, default=None,
-                   help="relaxation parameter for klsm (default 256)")
-    p.add_argument("--c", type=int, default=4,
-                   help="sub-queues per thread for multiq (default 4)")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--workload", choices=WORKLOAD_KINDS, default="uniform")
-    p.add_argument("--keys", choices=KEY_KINDS, default="uniform32")
-    p.add_argument("--prefill", type=int, default=1_000_000)
-    p.add_argument("--duration-s", type=float, default=10.0, dest="duration_s")
-    p.add_argument("--reps", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=MODES, default="throughput")
-    p.add_argument("--csv", metavar="PATH", default=None,
+    p.add_argument("--queue", choices=QUEUE_KINDS, default=d.queue,
+                   help="queue kind")
+    # absent unless given, so that a --k for another queue can be told apart
+    p.add_argument("--k", type=int, default=argparse.SUPPRESS,
+                   help=f"relaxation parameter for klsm (default: {d.k})")
+    p.add_argument("--c", type=int, default=d.c,
+                   help="sub-queues per thread for multiq")
+    p.add_argument("--threads", type=int, default=d.threads,
+                   help="worker threads")
+    p.add_argument("--workload", choices=WORKLOAD_KINDS, default=d.workload,
+                   help="operation mix")
+    p.add_argument("--keys", choices=KEY_KINDS, default=d.keys,
+                   help="key distribution")
+    p.add_argument("--prefill", type=int, default=d.prefill,
+                   help="items inserted before each timed window")
+    p.add_argument("--duration-s", type=float, default=d.duration_s,
+                   dest="duration_s", help="seconds per timed window")
+    p.add_argument("--reps", type=int, default=d.reps, help="repetitions")
+    p.add_argument("--seed", type=int, default=d.seed,
+                   help="seed of repetition 0")
+    p.add_argument("--mode", choices=MODES, default=d.mode,
+                   help="quality also logs every operation to replay ranks")
+    p.add_argument("--csv", metavar="PATH",
                    help="write per-repetition rows plus a summary row here")
     p.add_argument("--depend-on-deleted", action="store_true",
+                   default=d.depend_on_deleted,
                    help="experimental: inserted keys drift from the last "
                         "key this thread deleted")
     return p
 
 
 def config_from_args(args: argparse.Namespace) -> BenchConfig:
-    if args.k is not None and args.queue != "klsm":
+    settings = vars(args).copy()
+    del settings["csv"]
+    if "k" in settings and args.queue != "klsm":
         print(f"warning: --k only affects the klsm queue; ignored for "
               f"{args.queue}", file=sys.stderr)
-    return BenchConfig(
-        queue=args.queue,
-        k=256 if args.k is None else args.k,
-        c=args.c,
-        threads=args.threads,
-        workload=args.workload,
-        keys=args.keys,
-        prefill=args.prefill,
-        duration_s=args.duration_s,
-        reps=args.reps,
-        seed=args.seed,
-        mode=args.mode,
-        depend_on_deleted=args.depend_on_deleted,
-    )
+    return BenchConfig(**settings)
 
 
 def _cell(x) -> str:

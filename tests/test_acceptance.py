@@ -14,13 +14,13 @@ from statistics import fmean
 
 import pytest
 
-from conftest import item
+from conftest import brute_ranks, is_heap, item, random_history
 from pqbench.baseline import SeqLsmQueue
 from pqbench.bench import (BenchConfig, run_conservation, run_quality_rep,
                            run_throughput_rep)
 from pqbench.core import Lsm
 from pqbench.multiqueue import MultiQueue
-from pqbench.ranks import DELETE, INSERT, OpRecord, replay_ranks
+from pqbench.ranks import DELETE, INSERT, replay_ranks
 from pqbench.workload import KeyStream, ThreadWorkload, stream
 
 SEED = 20260823
@@ -181,39 +181,13 @@ def test_06_global_lock_ranks_all_exactly_one(capsys):
 # ----------------------------------------------------------------------
 # 7. replay against the quadratic oracle
 
-def brute_ranks(records):
-    live = []
-    ranks = []
-    for r in records:
-        if r.kind == INSERT:
-            live.append((r.key, r.seq))
-        else:
-            ranks.append(sum(1 for ks in live if ks <= (r.key, r.seq)))
-            live.remove((r.key, r.seq))
-    return ranks
-
-
-def random_history(rng, events, key_range=50):
-    recs, live, ts, seq = [], [], 0, 0
-    while len(recs) < events:
-        ts += 1
-        if live and rng.random() < 0.45:
-            key, s = live.pop(rng.randrange(len(live)))
-            recs.append(OpRecord(DELETE, key, s, ts, rng.randrange(4)))
-        else:
-            key = rng.randrange(key_range)
-            recs.append(OpRecord(INSERT, key, seq, ts, rng.randrange(4)))
-            live.append((key, seq))
-            seq += 1
-    return recs
-
-
 def test_07_replay_matches_quadratic_oracle(capsys):
     rng = random.Random(SEED + 7)
     t0 = time.perf_counter()
     mismatched = sum(
         replay_ranks(log) != brute_ranks(log)
-        for log in (random_history(rng, 1000) for _ in range(100))
+        for log in (random_history(rng, 1000, key_range=50, ts_gaps=False)
+                    for _ in range(100))
     )
     elapsed = time.perf_counter() - t0
     ok = mismatched == 0 and elapsed < 30.0
@@ -245,10 +219,6 @@ def test_08_conservation_for_every_queue_kind(capsys):
 
 # ----------------------------------------------------------------------
 # 9. MultiQueue structure
-
-def is_heap(h):
-    return all(not h[i] < h[(i - 1) >> 1] for i in range(1, len(h)))
-
 
 def test_09_multiqueue_structure(capsys):
     q = MultiQueue(threads=8, c=4)

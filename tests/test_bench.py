@@ -18,7 +18,7 @@ from pqbench.bench import (QUEUE_KINDS, BenchConfig, ConfigError,
                            make_queue, mean_ci95,
                            pinning_supported, run_benchmark, run_conservation,
                            run_quality_rep, run_throughput_rep)
-from pqbench.core import make_seq
+from pqbench.core import SEQ_THREAD_SHIFT, make_seq
 from pqbench.klsm import Klsm
 from pqbench.multiqueue import MultiQueue
 from pqbench.ranks import INSERT, OpRecord
@@ -49,6 +49,9 @@ def deletes_only(monkeypatch):
     dict(k=-1, queue="klsm"),
     dict(c=0, queue="multiq"),
     dict(threads=0),
+    # thread ids fill the seq bits above SEQ_THREAD_SHIFT; validate builds
+    # nothing, so no queue or thread is made at this count
+    dict(queue="klsm", threads=(1 << (64 - SEQ_THREAD_SHIFT)) + 1),
     dict(queue="seqlsm", threads=4),
     dict(prefill=-1),
     dict(duration_s=0.0),
@@ -68,6 +71,10 @@ def test_validate_rejects(bad):
 
 def test_validate_accepts_defaults():
     BenchConfig().validate()
+
+
+def test_validate_accepts_every_thread_id_a_seq_holds():
+    cfg(queue="klsm", threads=1 << (64 - SEQ_THREAD_SHIFT)).validate()
 
 
 def test_validate_reads_the_log_cap_at_call_time(monkeypatch):
@@ -169,6 +176,18 @@ def test_mean_ci95_matches_formula_on_30_samples():
     expect_half = T975_DF29 * statistics.stdev(xs) / math.sqrt(30)
     assert m == pytest.approx(expect_m, rel=1e-9)
     assert half == pytest.approx(expect_half, rel=1e-9)
+
+
+def test_mean_ci95_matches_statistics_on_near_constant_samples():
+    """Samples far from zero that differ in their sixth digit: a sum of
+    squares about the mean must not cancel away the spread."""
+    rng = random.Random(7)
+    for n in (2, 3, 30, 1000):
+        xs = [1e6 * (1 + rng.gauss(0, 1e-6)) for _ in range(n)]
+        m, half = mean_ci95(xs)
+        assert m == statistics.fmean(xs)
+        expect = bench._t975(n - 1) * statistics.stdev(xs) / math.sqrt(n)
+        assert half == pytest.approx(expect, rel=1e-12)
 
 
 # Student-t 0.975 quantiles by degrees of freedom, generated once with

@@ -100,6 +100,19 @@ def test_quality_prefill_past_the_log_cap_exits_2(monkeypatch, capsys):
     assert "fit the log" in capsys.readouterr().err
 
 
+def test_threads_past_the_seq_thread_bits_exit_2(monkeypatch, capsys):
+    """A seq holds its thread id in 16 bits: more threads fail typed,
+    before any queue, workload or thread is built."""
+    def must_not_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_benchmark", must_not_run)
+    with pytest.raises(SystemExit) as e:
+        main(["--threads", str(bench.MAX_THREADS + 1), "--reps", "1"])
+    assert e.value.code == 2
+    assert f"between 1 and {1 << 16}" in capsys.readouterr().err
+
+
 def test_every_config_field_is_a_cli_setting():
     """A flag sets every field, so no setting exists that only code can
     reach: with every flag away from its default, no field keeps its own."""

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from conftest import item
+from conftest import drain, item
 import pqbench.core as core
 from pqbench.core import ClaimTable, make_seq
 from pqbench.dlsm import DlsmShared
@@ -37,15 +37,6 @@ def delete_min(handle):
             return it
 
 
-def drain(handle):
-    out = []
-    while True:
-        it = delete_min(handle)
-        if it is None:
-            return out
-        out.append(it)
-
-
 def test_register_assigns_distinct_slots():
     shared = group(3)
     owners = [shared.register().owner for _ in range(3)]
@@ -67,7 +58,7 @@ def test_single_thread_matches_heap_oracle():
             key = rng.getrandbits(12)
             h.insert(item(key, make_seq(0) + i))
             heapq.heappush(oracle, (key, make_seq(0) + i))
-    got = drain(h)
+    got = drain(delete_min, h)
     assert [(it.key, it.seq) for it in got] == sorted(oracle)
 
 
@@ -161,7 +152,7 @@ def test_spy_skips_fully_consumed_snapshots():
     shared = group(3)
     h0, h1, h2 = (shared.register() for _ in range(3))
     fill(h1, [1, 2, 3])
-    drain(h1)        # h1's published snapshot may retain dead items
+    drain(delete_min, h1)    # h1's published snapshot may retain dead items
     fill(h2, [42])
     assert delete_min(h0).key == 42
 
@@ -172,7 +163,7 @@ def test_claims_prevent_double_delivery_after_spy():
     fill(h0, range(100))
     # h1 copies everything h0 published, then both race to delete
     assert h1.spy() == 100
-    seen = [it.seq for it in drain(h0)] + [it.seq for it in drain(h1)]
+    seen = [it.seq for h in (h0, h1) for it in drain(delete_min, h)]
     assert len(seen) == 100
     assert len(set(seen)) == 100
 
@@ -205,7 +196,7 @@ def test_concurrent_hammer_conserves_items():
     for t in threads:
         t.join()
     for idx in range(nthreads):
-        got[idx].extend(drain(handles[idx]))
+        got[idx].extend(drain(delete_min, handles[idx]))
     seqs = [it.seq for per in got for it in per]
     assert len(seqs) == nthreads * per_thread
     assert len(set(seqs)) == len(seqs)
@@ -231,7 +222,7 @@ def test_one_thread_group_publishes_nothing():
     fill(h, [3, 1, 2])
     assert delete_min(h).key == 1
     assert shared.slots == [()]
-    assert [it.key for it in drain(h)] == [2, 3]
+    assert [it.key for it in drain(delete_min, h)] == [2, 3]
 
 
 def test_kept_size_matches_block_occupancy_after_every_op(monkeypatch):

@@ -7,17 +7,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import item
+from conftest import drain, item
 from pqbench.klsm import Klsm, rank_bound
-
-
-def drain(handle):
-    out = []
-    while True:
-        it = handle.delete_min()
-        if it is None:
-            return out
-        out.append(it)
 
 
 def test_rank_bound_values():
@@ -82,7 +73,7 @@ def test_delete_prefers_local_then_draws_from_shared_window():
         h.insert(key)
     assert sorted(it.key for it in q.slsm.live_items()) == [6, 7, 8, 9]
     assert h.delete_min().key == 3   # local min beats every shared candidate
-    rest = [it.key for it in drain(h)]
+    rest = [it.key for it in drain(h.delete_min)]
     assert sorted(rest) == [6, 7, 8, 9]   # any draw order is allowed
 
 
@@ -101,7 +92,7 @@ def test_strict_degeneracy_matches_heap_oracle():
             key = rng.getrandbits(12)
             it = h.insert(key)
             heapq.heappush(oracle, (key, it.seq))
-    got = drain(h)
+    got = drain(h.delete_min)
     assert [(it.key, it.seq) for it in got] == sorted(oracle)
 
 
@@ -189,7 +180,7 @@ def test_lost_claim_peeks_again_and_returns_the_next_item():
     assert [it.key for it in raced] == [0]
     assert got.key == 1 and got is not raced[0]
     assert local.size == sum(blk.occupancy for blk in local.blocks)
-    rest = drain(h)
+    rest = drain(h.delete_min)
     assert [it.key for it in rest] == [2, 3, 4]
     assert all(it is not raced[0] for it in rest)
     assert local.size == sum(blk.occupancy for blk in local.blocks) == 0
@@ -222,7 +213,7 @@ def test_concurrent_hammer_conserves_and_progresses():
         t.start()
     for t in threads:
         t.join()
-    got[0].extend(drain(handles[0]))
+    got[0].extend(drain(handles[0].delete_min))
     seqs = [it.seq for per in got for it in per]
     assert len(seqs) == nthreads * per_thread
     assert len(set(seqs)) == len(seqs)

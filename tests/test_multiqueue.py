@@ -7,20 +7,8 @@ from collections import Counter
 
 import pytest
 
+from conftest import drain, is_heap
 from pqbench.multiqueue import DELETE_ATTEMPTS, MultiQueue
-
-
-def drain(handle):
-    out = []
-    while True:
-        it = handle.delete_min()
-        if it is None:
-            return out
-        out.append(it)
-
-
-def heap_ok(h):
-    return all(not h[(i - 1) // 2] > h[i] for i in range(1, len(h)))
 
 
 @pytest.mark.parametrize("c,p,n", [(4, 8, 32), (1, 1, 1), (4, 1, 4)])
@@ -48,7 +36,7 @@ def test_single_queue_degenerates_to_locked_heap():
             key = rng.getrandbits(12)
             it = h.insert(key)
             heapq.heappush(oracle, (key, it.seq))
-    got = drain(h)
+    got = drain(h.delete_min)
     assert [(it.key, it.seq) for it in got] == sorted(oracle)
 
 
@@ -75,7 +63,7 @@ def test_heaps_keep_heap_property_under_ops():
             h.insert(rng.getrandbits(16))
         else:
             h.delete_min()
-    assert all(heap_ok(heap) for heap in q.heaps)
+    assert all(is_heap(heap) for heap in q.heaps)
 
 
 def test_delete_pops_a_queue_local_minimum():
@@ -104,7 +92,7 @@ def test_sweep_finds_last_items():
     h = q.register(random.Random(8))
     for key in [5, 1, 9]:
         h.insert(key)
-    assert sorted(it.key for it in drain(h)) == [1, 5, 9]
+    assert sorted(it.key for it in drain(h.delete_min)) == [1, 5, 9]
 
 
 def test_conservation_single_threaded():
@@ -122,7 +110,7 @@ def test_conservation_single_threaded():
             it = h.delete_min()
             if it is not None:
                 removed.append(it.key)
-    removed.extend(it.key for it in drain(h))
+    removed.extend(it.key for it in drain(h.delete_min))
     assert Counter(removed) == Counter(inserted)
 
 
@@ -153,11 +141,11 @@ def test_concurrent_hammer_conserves_items():
         t.start()
     for t in threads:
         t.join()
-    got[0].extend(drain(handles[0]))
+    got[0].extend(drain(handles[0].delete_min))
     seqs = [it.seq for per in got for it in per]
     assert len(seqs) == nthreads * per_thread
     assert len(set(seqs)) == len(seqs)
-    assert all(heap_ok(heap) for heap in q.heaps)
+    assert all(is_heap(heap) for heap in q.heaps)
 
 
 def test_mean_rank_grows_with_queue_count():

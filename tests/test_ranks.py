@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import brute_ranks, random_history
 from pqbench import ranks
 from pqbench.ranks import (DELETE, INSERT, CorruptLogError, OpRecord,
                            merge_logs, replay_ranks, summarize_ranks)
@@ -22,20 +23,6 @@ def ins(key, seq, ts, thread=0):
 
 def dele(key, seq, ts, thread=0):
     return OpRecord(DELETE, key, seq, ts, thread)
-
-
-def brute_ranks(records):
-    """Quadratic reference: rank = live (key, seq) <= the deleted one,
-    self included."""
-    live = []
-    ranks = []
-    for r in records:
-        if r.kind == INSERT:
-            live.append((r.key, r.seq))
-        else:
-            ranks.append(sum(1 for ks in live if ks <= (r.key, r.seq)))
-            live.remove((r.key, r.seq))
-    return ranks
 
 
 class Fenwick:
@@ -75,25 +62,6 @@ def fenwick_ranks(records):
             ranks.append(fen.prefix(i))
         fen.add(i, 1 if r.kind == INSERT else -1)
     return ranks
-
-
-def random_history(rng, events, key_range=20, threads=4):
-    """A valid interleaved log with plenty of duplicate keys."""
-    recs = []
-    live = []
-    ts = 0
-    seq = 0
-    while len(recs) < events:
-        ts += rng.randrange(1, 3)
-        if live and rng.random() < 0.45:
-            key, s = live.pop(rng.randrange(len(live)))
-            recs.append(dele(key, s, ts, rng.randrange(threads)))
-        else:
-            key = rng.randrange(key_range)
-            recs.append(ins(key, seq, ts, rng.randrange(threads)))
-            live.append((key, seq))
-            seq += 1
-    return recs
 
 
 # ----------------------------------------------------------------------

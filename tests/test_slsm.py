@@ -7,7 +7,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import item
+from conftest import drain, item
 from pqbench.core import Block, ClaimTable, compact, fitted, make_seq
 from pqbench.klsm import Klsm
 from pqbench.slsm import Slsm, _scan_window
@@ -41,22 +41,13 @@ def delete_min(s, rng):
             return it
 
 
-def drain(s, rng):
-    out = []
-    while True:
-        it = delete_min(s, rng)
-        if it is None:
-            return out
-        out.append(it)
-
-
 def test_k0_always_returns_exact_minimum():
     s = shared(0)
     rng = random.Random(3)
     keys = [rng.getrandbits(12) for _ in range(200)]
     for i, k in enumerate(keys):
         s.insert_batch(batch([k], start_seq=i))
-    got = [it.key for it in drain(s, rng)]
+    got = [it.key for it in drain(delete_min, s, rng)]
     assert got == sorted(keys)
 
 
@@ -356,7 +347,7 @@ def test_conservation_across_batches_and_deletes():
             it = delete_min(s, rng)
             if it is not None:
                 got.append(it.key)
-    got.extend(it.key for it in drain(s, rng))
+    got.extend(it.key for it in drain(delete_min, s, rng))
     assert Counter(got) == Counter(inserted)
 
 
@@ -404,7 +395,7 @@ def test_concurrent_hammer_conserves_items():
         t.start()
     for t in threads:
         t.join()
-    leftover = drain(s, random.Random(0))
+    leftover = drain(delete_min, s, random.Random(0))
     seqs = [it.seq for per in results for it in per] + [it.seq for it in leftover]
     assert len(seqs) == nthreads * per_thread * 3
     assert len(set(seqs)) == len(seqs)
