@@ -1,13 +1,13 @@
 """Benchmark harness: timed multi-thread runs with statistics.
 
-Throughput mode runs the configured workload unperturbed and reports
-million-ops-per-second over the wall-clock window.  Quality mode
-additionally logs every operation into one list shared by all threads.
-Each queue operation and the append of its record happen inside one
-global commit lock, so the list is born in history order and a record's
-timestamp is simply its 1-based position in it; replayed ranks reflect
-the queue, not scheduler preemption.  Quality numbers therefore measure
-ordering quality; their throughput is logging-perturbed by design.
+Every mode runs one per-thread op loop, :func:`_worker`, over a handle.
+Throughput mode gives it the queue's own handles, unperturbed, and reports
+million-ops-per-second over the wall-clock window.  Quality mode gives it
+:class:`_Logged` recorders, which log every operation into one list shared
+by all threads, each op and the append of its record as one step under a
+global commit lock: the list is born in history order, a record's
+timestamp is its 1-based position, and replayed ranks reflect the queue,
+not scheduler preemption.  Quality throughput is logging-perturbed by design.
 
 Each repetition builds a fresh queue, prefills it according to the
 workload, releases all threads from a barrier, and stops them with a
@@ -23,6 +23,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, compress, repeat
 from operator import eq, itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -235,12 +236,15 @@ def _pin_self(index: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# workers
+# the op loop and its recorders
 
-def _throughput_worker(idx, handle, wl, barrier, running, stop, out, track):
+def _worker(idx, handle, wl, barrier, running, out):
+    """Every mode's per-thread op loop.  ``handle`` is the queue's own or a
+    recorder around it, which keeps what each op did."""
     _pin_self(idx)
     # bound after any tracer has wrapped them; an empty ``running`` stops
     next_op, insert, delete_min = wl.next, handle.insert, handle.delete_min
+    note = wl.note_deleted if wl.depend_on_deleted else None
     barrier.wait()
     ins = dels = absent = 0
     while running:
@@ -248,51 +252,84 @@ def _throughput_worker(idx, handle, wl, barrier, running, stop, out, track):
         if kind == INSERT:
             insert(key)
             ins += 1
-            if track is not None:
-                track[idx][0].append(key)
+        elif (it := delete_min()) is None:
+            absent += 1
         else:
-            it = delete_min()
-            if it is None:
-                absent += 1
-            else:
-                dels += 1
-                if wl.depend_on_deleted:
-                    wl.note_deleted(it.key)
-                if track is not None:
-                    track[idx][1].append(it.key)
+            dels += 1
+            if note is not None:
+                note(it.key)
     out[idx] = (ins, dels, absent)
 
 
-def _quality_worker(idx, handle, wl, barrier, running, stop, out, log,
-                    commit, cap):
-    _pin_self(idx)
-    next_op, insert, delete_min = wl.next, handle.insert, handle.delete_min
-    barrier.wait()
-    ins = dels = absent = 0
-    append = log.append
-    while running:
-        kind, key = next_op()
-        if kind == INSERT:
-            with commit:
-                it = insert(key)
-                append(OpRecord(INSERT, key, it.seq, len(log) + 1, idx))
-            ins += 1
-        else:
-            with commit:
-                it = delete_min()
-                if it is not None:
-                    key = it.key
-                    append(OpRecord(DELETE, key, it.seq, len(log) + 1, idx))
-            if it is None:
-                absent += 1
-            else:
-                dels += 1
-                if wl.depend_on_deleted:
-                    wl.note_deleted(key)
-        if len(log) > cap:  # unlocked read: one op a thread past the cap at most
-            stop.set()
-            break
-    out[idx] = (ins, dels, absent)
+def _insert_all(handle, keys: List[int]):
+    """One insert per key: by the handle's ``prefill`` where it has one."""
+    prefill = getattr(handle, "prefill", None)
+    if prefill is not None:
+        return prefill(keys)
+    return [handle.insert(key) for key in keys]
+
+
+class _Tracked:
+    """Runs a handle's ops and keeps the keys they insert and delete."""
+
+    def __init__(self, handle, inserted: List[int], deleted: List[int]):
+        self.handle, self.inserted, self.deleted = handle, inserted, deleted
+
+    def prefill(self, keys: List[int]) -> None:
+        self.inserted.extend(it.key for it in _insert_all(self.handle, keys))
+
+    def insert(self, key: int):
+        self.inserted.append(key)
+        return self.handle.insert(key)
+
+    def delete_min(self):
+        it = self.handle.delete_min()
+        if it is not None:
+            self.deleted.append(it.key)
+        return it
+
+
+class _Logged:
+    """Runs thread ``idx``'s ops, each as one step under ``commit`` with the
+    append of its :class:`OpRecord` to the shared ``log``: the log is born
+    in history order, and a record's timestamp is its 1-based position.
+    The op that takes the log past ``MAX_LOG_EVENTS`` clears ``running``
+    and sets ``stop``, so no thread runs more than one op past the cap."""
+
+    def __init__(self, log: List[OpRecord], commit, idx, handle, running, stop):
+        self.log, self.commit, self.idx, self.handle = log, commit, idx, handle
+        self.running, self.stop = running, stop
+        # bound once, after any tracer has wrapped them: they run per op
+        self._insert, self._delete_min = handle.insert, handle.delete_min
+
+    def prefill(self, keys: List[int]) -> None:
+        log, items = self.log, _insert_all(self.handle, keys)
+        log.extend(OpRecord(INSERT, it.key, it.seq, ts, self.idx)
+                   for ts, it in enumerate(items, len(log) + 1))
+
+    def insert(self, key: int):
+        log = self.log
+        with self.commit:
+            it = self._insert(key)
+            log.append(OpRecord(INSERT, key, it.seq, len(log) + 1, self.idx))
+        if len(log) > MAX_LOG_EVENTS:  # unlocked: a stale read costs one op
+            self._close()
+        return it
+
+    def delete_min(self):
+        log = self.log
+        with self.commit:
+            it = self._delete_min()
+            if it is not None:
+                log.append(OpRecord(DELETE, it.key, it.seq, len(log) + 1,
+                                    self.idx))
+        if len(log) > MAX_LOG_EVENTS:
+            self._close()
+        return it
+
+    def _close(self) -> None:
+        self.running.clear()
+        self.stop.set()
 
 
 # ----------------------------------------------------------------------
@@ -310,33 +347,25 @@ def _build_run(cfg: BenchConfig, rep: int):
     return queue, wls, handles
 
 
-def _prefill(cfg: BenchConfig, wls, handles, log=None, track=None):
+def _prefill(cfg: BenchConfig, wls, handles):
     """Each inserting thread's share, in turn.  A handle with ``prefill``
-    (klsm, seqlsm) builds in sorted runs what its inserts would leave."""
+    (klsm, seqlsm, a recorder) takes the share at once; the others insert
+    each key as it is drawn, since a list of drawn keys is cold in cache
+    by the time it is read back."""
     ids = inserter_ids(cfg.workload, cfg.threads)
     shares = prefill_shares(cfg.prefill, len(ids))
     for tid, share in zip(ids, shares):
-        handle, wl = handles[tid], wls[tid]
+        handle, key = handles[tid], wls[tid].prefill_key
         prefill = getattr(handle, "prefill", None)
-        # one insert per key as it is drawn: a long list of drawn keys is
-        # cold in cache by the time it is read back
-        items = ([handle.insert(wl.prefill_key()) for _ in range(share)]
-                 if prefill is None
-                 else prefill([wl.prefill_key() for _ in range(share)]))
-        if log is not None:
-            log.extend(OpRecord(INSERT, it.key, it.seq, ts, tid)
-                       for ts, it in enumerate(items, len(log) + 1))
-        if track is not None:
-            track[tid][0].extend(it.key for it in items)
+        if prefill is not None:
+            prefill([key() for _ in range(share)])
+        else:
+            for _ in range(share):
+                handle.insert(key())
 
 
 def _drain(handle) -> List[int]:
-    drained: List[int] = []
-    while True:
-        it = handle.delete_min()
-        if it is None:
-            return drained
-        drained.append(it.key)
+    return [it.key for it in iter(handle.delete_min, None)]
 
 
 def _check_conservation(inserted: Iterable[int], deleted: Iterable[int],
@@ -355,20 +384,23 @@ def _check_conservation(inserted: Iterable[int], deleted: Iterable[int],
         )
 
 
-def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
-    """One repetition's lifecycle around ``worker``, the per-thread loop.
+def _run_rep(cfg: BenchConfig, rep: int, record=None):
+    """One repetition's lifecycle around :func:`_worker`.
 
-    Builds a fresh queue, prefills it, starts one thread per worker with
-    ``args`` appended to its common arguments, and opens the timed window
-    at a barrier; clearing ``running`` closes it, after the duration or
-    once a worker sets ``stop``.  A worker that raises, or a thread that
-    cannot start, stops the others and surfaces as :class:`WorkerError`.
-    Returns the handles and the repetition's operation counts.
+    Builds a fresh queue; ``record(i, handle, running, stop)``, if given,
+    wraps thread i's handle in a recorder for the prefill and the window.
+    Starts one thread per worker and opens the timed window at a barrier;
+    clearing ``running`` closes it, after the duration or once ``stop`` is
+    set.  A worker that raises, or a thread that cannot start, stops the
+    others and surfaces as :class:`WorkerError`.  Returns the queue's own
+    handles, which drain unrecorded, and the repetition's operation counts.
     """
-    _, wls, handles = _build_run(cfg, rep)
-    _prefill(cfg, wls, handles, log=log, track=track)
+    _, wls, own = _build_run(cfg, rep)
     running = [True]
     stop = threading.Event()
+    handles = (own if record is None else
+               [record(i, h, running, stop) for i, h in enumerate(own)])
+    _prefill(cfg, wls, handles)
     barrier = threading.Barrier(cfg.threads + 1)
     out: List[Optional[Tuple[int, int, int]]] = [None] * cfg.threads
     errors: List[Tuple[int, BaseException]] = []
@@ -381,7 +413,7 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
 
     def run(i: int) -> None:
         try:
-            worker(i, handles[i], wls[i], barrier, running, stop, out, *args)
+            _worker(i, handles[i], wls[i], barrier, running, out)
         except BaseException as e:  # re-raised in the calling thread
             fail(i, e)
 
@@ -407,41 +439,38 @@ def _run_rep(cfg: BenchConfig, rep: int, worker, *args, log=None, track=None):
     if errors:
         i, e = errors[0]
         raise WorkerError(f"worker {i} failed: {type(e).__name__}: {e}") from e
-    ins = sum(o[0] for o in out)
-    dels = sum(o[1] for o in out)
-    absent = sum(o[2] for o in out)
+    ins, dels, absent = map(sum, zip(*out))
     ops = ins + dels
-    return handles, RepResult(rep, ops, ins, dels, absent, elapsed,
-                              ops / elapsed / 1e6)
+    return own, RepResult(rep, ops, ins, dels, absent, elapsed,
+                          ops / elapsed / 1e6)
 
 
 def run_throughput_rep(cfg: BenchConfig, rep: int) -> RepResult:
-    return _run_rep(cfg, rep, _throughput_worker, None)[1]
+    return _run_rep(cfg, rep)[1]
 
 
 def run_conservation(cfg: BenchConfig, rep: int = 0) -> RepResult:
-    """Throughput-style run that tracks and verifies item conservation:
-    inserted keys = deleted keys + keys drained afterwards, as multisets.
+    """Throughput-style run over :class:`_Tracked` recorders that verifies
+    item conservation: inserted keys = deleted keys + keys drained
+    afterwards through the queue's own handle, as multisets.
     Tracking adds work to every operation, so its timings are not
     comparable with those of :func:`run_throughput_rep`.
     """
-    # per thread: the keys inserted, the keys deleted
-    track = [([], []) for _ in range(cfg.threads)]
-    handles, result = _run_rep(cfg, rep, _throughput_worker, track, track=track)
-    _check_conservation(chain.from_iterable(t[0] for t in track),
-                        chain.from_iterable(t[1] for t in track),
-                        _drain(handles[0]))
+    inserted: List[int] = []
+    deleted: List[int] = []
+    handles, result = _run_rep(cfg, rep, lambda i, handle, running, stop:
+                               _Tracked(handle, inserted, deleted))
+    _check_conservation(inserted, deleted, _drain(handles[0]))
     return result
 
 
 def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
     log: List[OpRecord] = []
-    cap = MAX_LOG_EVENTS
-    handles, result = _run_rep(cfg, rep, _quality_worker, log,
-                               threading.Lock(), cap, log=log)
-    if len(log) > cap:
+    handles, result = _run_rep(cfg, rep,
+                               partial(_Logged, log, threading.Lock()))
+    if len(log) > MAX_LOG_EVENTS:
         raise LogOverflowError(
-            f"quality log exceeded {cap} events; shorten the run"
+            f"quality log exceeded {MAX_LOG_EVENTS} events; shorten the run"
         )
 
     ranks = replay_ranks(log)

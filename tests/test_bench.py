@@ -4,6 +4,7 @@ import math
 import os
 import random
 import statistics
+import sys
 import threading
 import time
 
@@ -433,6 +434,70 @@ def test_self_check_defaults_to_quality_mode_only(monkeypatch):
         run_conservation(cfg(prefill=10), 0)
     with pytest.raises(SelfCheckError):
         run_quality_rep(cfg(prefill=10, mode="quality"), 0)
+
+
+# ----------------------------------------------------------------------
+# the one op loop and its recorders
+
+def test_every_rep_kind_runs_the_one_op_loop_on_every_worker(monkeypatch):
+    worker = bench._worker
+    entered = []
+
+    def spy(idx, *args):
+        entered.append((idx, threading.get_ident()))
+        return worker(idx, *args)
+
+    monkeypatch.setattr(bench, "_worker", spy)
+    c = cfg(queue="klsm", k=8, threads=3, prefill=60, mode="quality")
+    for run in (run_throughput_rep, run_conservation, run_quality_rep):
+        entered.clear()
+        assert run(c, 0).ops_total > 0
+        assert sorted(i for i, _ in entered) == [0, 1, 2]
+        threads = {t for _, t in entered}
+        assert len(threads) == 3 and threading.get_ident() not in threads
+
+
+def test_throughput_rep_builds_no_recorder(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def built(self, *args):
+        raise Built
+
+    monkeypatch.setattr(bench._Tracked, "__init__", built)
+    monkeypatch.setattr(bench._Logged, "__init__", built)
+    c = cfg(threads=2, prefill=50)
+    assert run_throughput_rep(c, 0).ops_total > 0
+    for run in (run_conservation, run_quality_rep):
+        with pytest.raises(Built):
+            run(c, 0)
+
+
+def test_overflowing_quality_rep_records_one_op_a_thread_past_the_cap(
+        monkeypatch):
+    """The op that takes the log past the cap closes the window, so each
+    thread finishes at most the op it is in: at most one record a thread
+    past the cap, and no waiting out the duration."""
+    made = []
+    record = bench.OpRecord
+
+    def counted(*args):
+        made.append(args[0])
+        return record(*args)
+
+    monkeypatch.setattr(bench, "OpRecord", counted)
+    monkeypatch.setattr(bench, "MAX_LOG_EVENTS", 400)
+    c = cfg(queue="multiq", threads=3, prefill=100, duration_s=30.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(LogOverflowError):
+            run_quality_rep(c, 0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - t0 < 10.0
+    assert 400 < len(made) <= 400 + c.threads
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """The harness prefill against one insert per key: exact state.
 
 ``bench._prefill`` lets klsm and seqlsm build the state their inserts
-would leave in sorted runs.  Each case here prefills two fresh runs of one
-configuration, one through the harness and one through the per-item loop
-kept below as the reference, then compares every block, count, snapshot,
-window member, ``Slsm.version`` and next seq, the quality log and the
-conservation tracks, and finally the seqs a fixed op mix deletes.
+would leave in sorted runs.  Each case here prefills three fresh runs of
+one configuration: through the harness with ``bench._Logged`` recorders
+around the handles, through it with ``bench._Tracked`` recorders, and
+through the per-item loop kept below as the reference.  It then compares
+every block, count, snapshot, window member, ``Slsm.version`` and next
+seq, the quality log and the conservation track, and finally the seqs a
+fixed op mix deletes.
 """
 import random
+import threading
+from functools import partial
 
 import pytest
 
@@ -25,7 +29,7 @@ KEYS = ("uniform8", "unique32", "ascending", "descending")
 MIX_OPS = 600
 
 
-def reference_prefill(cfg, wls, handles, log, track):
+def reference_prefill(cfg, wls, handles, log, inserted):
     """One insert per prefill key, in the harness's thread and key order."""
     ids = inserter_ids(cfg.workload, cfg.threads)
     for tid, share in zip(ids, prefill_shares(cfg.prefill, len(ids))):
@@ -34,7 +38,19 @@ def reference_prefill(cfg, wls, handles, log, track):
             key = wl.prefill_key()
             it = handle.insert(key)
             log.append(OpRecord(INSERT, key, it.seq, len(log) + 1, tid))
-            track[tid][0].append(key)
+            inserted.append(key)
+
+
+def harness_prefill(cfg, record):
+    """``bench._prefill`` on a fresh run, through ``record(i, handle,
+    running, stop)`` around each handle as ``bench._run_rep`` wraps them;
+    returns the queue and its own handles."""
+    queue, wls, handles = bench._build_run(cfg, 0)
+    running, stop = [True], threading.Event()
+    wrapped = [record(i, h, running, stop) for i, h in enumerate(handles)]
+    bench._prefill(cfg, wls, wrapped)
+    assert running and not stop.is_set()
+    return queue, handles
 
 
 def blocks(bs):
@@ -73,18 +89,23 @@ def deleted_seqs(queue, handles, seed):
 
 
 def check_same_as_per_item(cfg):
-    runs = []
-    for prefill in (bench._prefill, reference_prefill):
-        queue, wls, handles = bench._build_run(cfg, 0)
-        log, track = [], [([], []) for _ in range(cfg.threads)]
-        prefill(cfg, wls, handles, log=log, track=track)
-        runs.append((queue, handles, log, track))
-    (q, hs, log, track), (ref_q, ref_hs, ref_log, ref_track) = runs
-    assert state(q, hs) == state(ref_q, ref_hs)
+    ref_q, ref_wls, ref_hs = bench._build_run(cfg, 0)
+    ref_log, ref_inserted = [], []
+    reference_prefill(cfg, ref_wls, ref_hs, ref_log, ref_inserted)
+    log, inserted, deleted = [], [], []
+    runs = [
+        harness_prefill(cfg, partial(bench._Logged, log, threading.Lock())),
+        harness_prefill(cfg, lambda i, handle, running, stop:
+                        bench._Tracked(handle, inserted, deleted)),
+    ]
+    ref_state = state(ref_q, ref_hs)
+    for q, hs in runs:
+        assert state(q, hs) == ref_state
     assert log == ref_log
-    assert track == ref_track
-    assert deleted_seqs(q, hs, cfg.seed) == deleted_seqs(ref_q, ref_hs,
-                                                         cfg.seed)
+    assert inserted == ref_inserted and deleted == []
+    ref_deleted = deleted_seqs(ref_q, ref_hs, cfg.seed)
+    for q, hs in runs:
+        assert deleted_seqs(q, hs, cfg.seed) == ref_deleted
 
 
 def sizes(k):
