@@ -149,7 +149,6 @@ class RepResult:
 
 @dataclass
 class Summary:
-    reps: int
     ops_total_mean: float
     mops_mean: float
     mops_ci95: Optional[float]    # None with a single repetition
@@ -482,8 +481,7 @@ def run_quality_rep(cfg: BenchConfig, rep: int) -> RepResult:
                         compress(keys, map(eq, kinds, repeat(DELETE))),
                         _drain(handles[0]))
 
-    return replace(result, rank_mean=stats.rank_mean, rank_std=stats.rank_std,
-                   rank_max=stats.rank_max, violations=stats.violations)
+    return replace(result, **stats._asdict())
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +491,6 @@ def aggregate(results: Sequence[RepResult]) -> Summary:
     n = len(results)
     mops_mean, mops_ci = mean_ci95([r.mops_per_sec for r in results])
     summary = Summary(
-        reps=n,
         ops_total_mean=math.fsum(r.ops_total for r in results) / n,
         mops_mean=mops_mean,
         mops_ci95=mops_ci,

@@ -62,23 +62,37 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _used(cfg: BenchConfig):
+    """``(k, c)`` as the run used them: None for a queue that ignores one."""
+    return (cfg.k if cfg.queue == "klsm" else None,
+            cfg.c if cfg.queue == "multiq" else None)
+
+
 def config_from_args(args: argparse.Namespace) -> BenchConfig:
     settings = vars(args).copy()
     del settings["csv"]
-    if "k" in settings and args.queue != "klsm":
+    cfg = BenchConfig(**settings)
+    if "k" in settings and _used(cfg)[0] is None:
         print(f"warning: --k only affects the klsm queue; ignored for "
-              f"{args.queue}", file=sys.stderr)
-    return BenchConfig(**settings)
+              f"{cfg.queue}", file=sys.stderr)
+    return cfg
 
 
 def _cell(x) -> str:
     return "" if x is None else str(x)
 
 
-def _used(cfg: BenchConfig):
-    """``(k, c)`` as the run used them: None for a queue that ignores one."""
-    return (cfg.k if cfg.queue == "klsm" else None,
-            cfg.c if cfg.queue == "multiq" else None)
+def _rows(result: BenchResult):
+    """Each report row once: every repetition, then the mean, as ``(label,
+    ops, mops, rank_mean, rank_std, rank_max, violations, mops_ci95,
+    rank_mean_ci95)``; a repetition has no intervals."""
+    for r in result.reps:
+        yield (r.repetition, r.ops_total, r.mops_per_sec, r.rank_mean,
+               r.rank_std, r.rank_max, r.violations, None, None)
+    s = result.summary
+    yield ("mean", s.ops_total_mean, s.mops_mean, s.rank_mean,
+           s.rank_std_mean, s.rank_max, s.violations, s.mops_ci95,
+           s.rank_mean_ci95)
 
 
 def csv_rows(result: BenchResult) -> List[List[str]]:
@@ -88,59 +102,34 @@ def csv_rows(result: BenchResult) -> List[List[str]]:
     cfg = result.config
     base = [cfg.queue, *map(_cell, _used(cfg)), str(cfg.threads),
             cfg.workload, cfg.keys, str(cfg.prefill), str(cfg.duration_s)]
-    rows = [list(CSV_FIELDS)]
-    for r in result.reps:
-        rows.append(base + [
-            str(r.repetition), str(r.ops_total), str(r.mops_per_sec),
-            _cell(r.rank_mean), _cell(r.rank_std), _cell(r.rank_max),
-            _cell(cfg.bound), _cell(r.violations), "", "",
-        ])
-    s = result.summary
-    rows.append(base + [
-        "mean", str(s.ops_total_mean), str(s.mops_mean),
-        _cell(s.rank_mean), _cell(s.rank_std_mean), _cell(s.rank_max),
-        _cell(cfg.bound), _cell(s.violations),
-        _cell(s.mops_ci95), _cell(s.rank_mean_ci95),
-    ])
-    return rows
+    return [list(CSV_FIELDS)] + [
+        base + [*map(_cell, row[:6]), _cell(cfg.bound), *map(_cell, row[6:])]
+        for row in _rows(result)]
 
 
-def emit_report(result: BenchResult, path: Optional[str] = None,
-                out=None) -> None:
-    out = out if out is not None else sys.stdout
-    cfg = result.config
-    k, c = ("-" if x is None else x for x in _used(cfg))
-    print(
-        f"queue={cfg.queue} k={k} c={c} threads={cfg.threads} "
-        f"workload={cfg.workload} keys={cfg.keys} prefill={cfg.prefill} "
-        f"duration={cfg.duration_s}s reps={cfg.reps} mode={cfg.mode} "
-        f"bound={'-' if cfg.bound is None else cfg.bound}",
-        file=out,
-    )
-    hdr = (f"{'rep':>5} {'ops_total':>12} {'mops/s':>10} {'rank_mean':>10} "
-           f"{'rank_std':>10} {'rank_max':>9} {'viol':>6}")
-    print(hdr, file=out)
-
+def emit_report(result: BenchResult, path: Optional[str] = None) -> None:
     def fmt(x, spec="{:.3f}"):
         return "-" if x is None else spec.format(x)
 
-    for r in result.reps:
-        print(f"{r.repetition:>5} {r.ops_total:>12} {r.mops_per_sec:>10.4f} "
-              f"{fmt(r.rank_mean):>10} {fmt(r.rank_std):>10} "
-              f"{fmt(r.rank_max, '{}'):>9} {fmt(r.violations, '{}'):>6}",
-              file=out)
-    s = result.summary
-    ci = "-" if s.mops_ci95 is None else f"{s.mops_ci95:.4f}"
-    print(f"{'mean':>5} {s.ops_total_mean:>12.1f} {s.mops_mean:>10.4f} "
-          f"{fmt(s.rank_mean):>10} {fmt(s.rank_std_mean):>10} "
-          f"{fmt(s.rank_max, '{}'):>9} {fmt(s.violations, '{}'):>6}  "
-          f"(mops ±{ci} 95% CI)",
-          file=out)
+    cfg = result.config
+    k, c = (fmt(x, "{}") for x in _used(cfg))
+    print(f"queue={cfg.queue} k={k} c={c} threads={cfg.threads} "
+          f"workload={cfg.workload} keys={cfg.keys} prefill={cfg.prefill} "
+          f"duration={cfg.duration_s}s reps={cfg.reps} mode={cfg.mode} "
+          f"bound={fmt(cfg.bound, '{}')}")
+    print(f"{'rep':>5} {'ops_total':>12} {'mops/s':>10} {'rank_mean':>10} "
+          f"{'rank_std':>10} {'rank_max':>9} {'viol':>6}")
+    for label, ops, mops, mean, std, top, viol, mops_ci, _ in _rows(result):
+        tail = ""
+        if label == "mean":
+            ops = f"{ops:.1f}"
+            tail = f"  (mops ±{fmt(mops_ci, '{:.4f}')} 95% CI)"
+        print(f"{label:>5} {ops:>12} {mops:>10.4f} {fmt(mean):>10} "
+              f"{fmt(std):>10} {fmt(top, '{}'):>9} {fmt(viol, '{}'):>6}{tail}")
 
     if path is not None:
         with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerows(csv_rows(result))
+            csv.writer(f, lineterminator="\n").writerows(csv_rows(result))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

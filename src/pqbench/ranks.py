@@ -40,7 +40,7 @@ class OpRecord(NamedTuple):
 
 
 class RankStats(NamedTuple):
-    deletes: int
+    """``RepResult``'s rank fields, by the same names."""
     rank_mean: float
     rank_std: float
     rank_max: int
@@ -129,11 +129,11 @@ def replay_ranks(records: Sequence[OpRecord]) -> List[int]:
 
 
 def summarize_ranks(ranks: Sequence[int], bound: Optional[int] = None) -> RankStats:
-    """Count, mean, sample std, max and bound violations of integer ranks;
+    """Mean, sample std, max and bound violations of integer ranks;
     mean and variance come from exact integer sums taken in C."""
     n = len(ranks)
     if not n:
-        return RankStats(0, 0.0, 0.0, 0, None if bound is None else 0)
+        return RankStats(0.0, 0.0, 0, None if bound is None else 0)
     total = sum(ranks)
     std = 0.0
     if n > 1:
@@ -142,4 +142,4 @@ def summarize_ranks(ranks: Sequence[int], bound: Optional[int] = None) -> RankSt
     violations = None
     if bound is not None:
         violations = sum(map(gt, ranks, repeat(bound)))
-    return RankStats(n, total / n, std, max(ranks), violations)
+    return RankStats(total / n, std, max(ranks), violations)

@@ -309,7 +309,6 @@ def test_merge_matches_sort_by_timestamp_then_thread(logs):
 
 def test_summarize_counts_violations():
     stats = summarize_ranks([1, 2, 3, 10], bound=3)
-    assert stats.deletes == 4
     assert stats.rank_max == 10
     assert stats.violations == 1
     assert stats.rank_mean == 4.0
@@ -322,8 +321,8 @@ def test_summarize_without_bound():
 
 
 def test_summarize_empty():
-    stats = summarize_ranks([], bound=5)
-    assert stats.deletes == 0 and stats.violations == 0
+    assert summarize_ranks([], bound=5) == (0.0, 0.0, 0, 0)
+    assert summarize_ranks([]).violations is None
 
 
 def test_summarize_matches_statistics_module():
