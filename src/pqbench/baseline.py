@@ -18,7 +18,7 @@ class SeqLsmQueue:
     """Single-threaded block-merge queue behind the common calling shape."""
 
     def __init__(self):
-        self.lsm = Lsm()
+        self.lsm = Lsm(private=True)
         self._seqs = count(make_seq(0))
 
     def register(self, rng: Optional[random.Random] = None) -> "SeqLsmQueue":

@@ -110,13 +110,18 @@ def sorted_live(items: List[Item]) -> List[Item]:
 
 
 def merge_sorted_live(
-    items_a: List[Item], start_a: int, items_b: List[Item], start_b: int
+    items_a: List[Item], start_a: int, items_b: List[Item], start_b: int,
+    private: bool = False,
 ) -> List[Item]:
     """Merge of the live tails of two sorted item lists by
     :func:`sorted_live`.  Inputs are never mutated, so the result can
     safely replace blocks that snapshots still reference.  Two tails of one
     item each, the commonest merge, are compared directly, same outcome.
+    A ``private`` merge (see :class:`Lsm`) only sorts: no other thread
+    takes its items or copies them in, so the filter would drop nothing.
     """
+    if private:
+        return sorted(items_a[start_a:] + items_b[start_b:])
     if len(items_a) == start_a + 1 and len(items_b) == start_b + 1:
         x, y = items_a[start_a], items_b[start_b]
         if x.taken:
@@ -136,8 +141,10 @@ class Block:
     a copy); those are skipped lazily.  ``occupancy`` is therefore the
     structural count, not necessarily the live count.
 
-    A block never changes once built: popping a head makes a new block
-    over the same item list, so published snapshots stay as they were.
+    A shared block never changes once built: popping a head makes a new
+    block over the same item list, so published snapshots stay as they
+    were.  Only a private :class:`Lsm`, whose blocks no other thread can
+    read, moves a head in place, while the block still fits its capacity.
     """
 
     __slots__ = ("capacity", "items", "head")
@@ -178,7 +185,7 @@ def fitted(items: List[Item], head: int = 0) -> Block:
     return Block(fit_capacity(len(items) - head), items, head)
 
 
-def place(blocks: List[Block], blk: Block) -> int:
+def place(blocks: List[Block], blk: Block, private: bool = False) -> int:
     """Add ``blk`` to a descending-capacity block list, binary-counter style.
 
     The carry walks in from the small end.  A block of equal capacity
@@ -188,7 +195,7 @@ def place(blocks: List[Block], blk: Block) -> int:
     again from the small end.  One new block is built where the carry
     lands, so snapshots that hold the old ones stay valid.  Returns how
     many slots the merges dropped (taken items and second copies), so a
-    caller can keep its occupancy count.
+    caller can keep its occupancy count; ``private`` merges drop none.
     """
     items, head, cap = blk.items, blk.head, blk.capacity
     dropped = 0
@@ -198,7 +205,7 @@ def place(blocks: List[Block], blk: Block) -> int:
         b = blocks[i]
         if b.capacity == cap:
             del blocks[i]
-            merged = merge_sorted_live(b.items, b.head, items, head)
+            merged = merge_sorted_live(b.items, b.head, items, head, private)
             dropped += len(b.items) - b.head + len(items) - head - len(merged)
             if not merged:
                 return dropped
@@ -239,18 +246,24 @@ class Lsm:
     Single-owner: no internal synchronisation.  Other threads may read
     blocks (via published snapshots) and kill individual items through a
     shared :class:`ClaimTable`; only the owner restructures.
+
+    A ``private`` queue's blocks no other thread can ever read (the one
+    behind ``SeqLsmQueue``, a one-thread group's local part): nothing in
+    them is taken or copied behind the owner's back, so its merges skip
+    the live filter and its pops move a block's head in place.
     """
 
-    __slots__ = ("blocks", "size")
+    __slots__ = ("blocks", "size", "private")
 
-    def __init__(self) -> None:
+    def __init__(self, private: bool = False) -> None:
         # descending capacity; capacities pairwise distinct
         self.blocks: List[Block] = []
         # sum of block occupancies, kept by every op that changes them
         self.size = 0
+        self.private = private
 
     def insert(self, item: Item) -> None:
-        self.size += 1 - place(self.blocks, Block(1, [item]))
+        self.size += 1 - place(self.blocks, Block(1, [item]), self.private)
 
     def fill(self, items: List[Item]) -> None:
         """Into an empty queue, the blocks that inserting ``items`` in order
@@ -293,13 +306,18 @@ class Lsm:
 
         The block is replaced by one that starts past the head: in its
         slot while it still fits that capacity, through :func:`place` when
-        it shrinks, and not at all when nothing is left.
+        it shrinks, and not at all when nothing is left.  A private queue
+        moves the head of a block that still fits in place instead.
         """
         blocks = self.blocks
-        i = blocks.index(blk)
         items = blk.items
         head = blk.head + 1
         self.size -= 1
+        if self.private and (len(items) - head) << 1 > blk.capacity:
+            # still over half full, so fitted() would keep the capacity
+            blk.head = head
+            return items[head - 1]
+        i = blocks.index(blk)
         if head == len(items):
             del blocks[i]
         else:
@@ -308,7 +326,7 @@ class Lsm:
                 blocks[i] = nb
             else:
                 del blocks[i]
-                self.size -= place(blocks, nb)
+                self.size -= place(blocks, nb, self.private)
         return items[head - 1]
 
     def delete_min(self) -> Optional[Item]:

@@ -49,7 +49,8 @@ class DlsmHandle:
     def __init__(self, shared: DlsmShared, owner: int):
         self.shared = shared
         self.owner = owner
-        self.local = Lsm()
+        # a one-thread group publishes nothing: no other reader
+        self.local = Lsm(private=shared.nthreads == 1)
         # victim id -> snapshot object this handle saw fully consumed
         self._dead_snaps: dict = {}
 

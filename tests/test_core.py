@@ -271,7 +271,8 @@ def test_place_matches_pairwise_place(case):
 
 def test_merges_go_through_the_module_global(monkeypatch):
     """Tracers count merged items by patching ``core.merge_sorted_live``;
-    every Lsm and Slsm merge must look it up there."""
+    every Lsm merge, private or shared, and every Slsm merge must look it
+    up there."""
     merged = []
     real = core.merge_sorted_live
 
@@ -281,11 +282,14 @@ def test_merges_go_through_the_module_global(monkeypatch):
         return out
 
     monkeypatch.setattr(core, "merge_sorted_live", counting)
-    lsm = Lsm()
-    for it in items([3, 1]):
-        lsm.insert(it)
-    assert merged == [2]
-    merged.clear()
+    for private in (False, True):
+        lsm = Lsm(private)
+        for it in items([3, 1, 2, 5, 4]):
+            lsm.insert(it)
+        for _ in range(3):  # the third pop leaves [5], which merges with [4]
+            lsm.delete_min()
+        assert merged == [2, 2, 4, 2]
+        merged.clear()
     s = Slsm(4)
     s.insert_batch(Block(2, items([1, 4])))
     s.insert_batch(Block(2, items([2, 3], start_seq=10)))
@@ -562,6 +566,53 @@ def test_shrink_merges_on_capacity_collision():
     lsm.check()
     assert lsm.size == 8
     assert [b.capacity for b in lsm.blocks] == [8]
+
+
+# ----------------------------------------------------------------------
+# private blocks: merged without the live filter, popped in place
+
+def shape(lsm):
+    return [(b.capacity, b.items[b.head:]) for b in lsm.blocks]
+
+
+# an op list: a key to insert, or None to delete the minimum
+ops_lists = st.lists(st.one_of(st.none(), st.integers(0, 7)), max_size=300)
+
+
+@given(st.integers(0, 300), ops_lists)
+@example(256, [None] * 257)             # every pop of a full 256-block
+@example(0, [0] * 256 + [None] * 200)   # merges of every size up to 256
+def test_private_lsm_matches_shared_after_every_op(prefill, ops):
+    """A private Lsm holds the same items in the same blocks as a shared
+    one fed the same ops; only where a head lives differs."""
+    private, shared = Lsm(private=True), Lsm()
+    start = items([k * 37 % 11 for k in range(prefill)])
+    seqs = count(make_seq(0) + prefill)
+    private.fill(start)
+    shared.fill(start)
+    assert shape(private) == shape(shared)
+    for op in ops:
+        if op is None:
+            assert private.delete_min() is shared.delete_min()
+        else:
+            it = item(op, next(seqs))
+            private.insert(it)
+            shared.insert(it)
+        assert private.size == shared.size
+        assert shape(private) == shape(shared)
+        private.check()
+
+
+def test_private_pop_moves_the_head_in_place_until_the_block_shrinks():
+    lsm = Lsm(private=True)
+    lsm.fill(items(range(8)))
+    blk = lsm.blocks[0]
+    for head in (1, 2, 3):
+        lsm.delete_min()
+        assert lsm.blocks == [blk] and blk.head == head
+    lsm.delete_min()   # half full: re-placed at capacity 4, as shared does
+    assert [(b.capacity, keys_of(b)) for b in lsm.blocks] == [(4, [4, 5, 6, 7])]
+    assert lsm.blocks[0] is not blk and blk.head == 3
 
 
 # ----------------------------------------------------------------------

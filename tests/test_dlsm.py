@@ -233,8 +233,8 @@ def test_kept_size_matches_block_occupancy_after_every_op(monkeypatch):
     drops = []
     place = core.place
 
-    def counting_place(blocks, blk):
-        dropped = place(blocks, blk)
+    def counting_place(*args):
+        dropped = place(*args)
         drops.append(dropped)
         return dropped
 

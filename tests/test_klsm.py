@@ -36,6 +36,25 @@ def test_fifth_insert_spills_largest_block():
     assert sorted(it.key for it in q.slsm.live_items()) == [10, 20, 30, 40]
 
 
+def test_published_blocks_keep_their_heads_while_the_owner_pops():
+    """Only a one-thread group's local part pops in place: with two
+    threads, a snapshot another thread may spy must stay as published."""
+    assert Klsm(k=4, threads=1).register().dlsm.local.private
+    q = Klsm(k=64, threads=2)
+    h = q.register(random.Random(0))
+    q.register(random.Random(1))
+    assert not h.dlsm.local.private
+    for key in range(48):   # blocks 32 and 16, all local
+        h.insert(key)
+    snap = q.dlsm.slots[0]
+    published = [(blk, blk.capacity, blk.head, list(blk.items)) for blk in snap]
+    assert [cap for _, cap, _, _ in published] == [32, 16]
+    assert [h.delete_min().key for _ in range(40)] == list(range(40))
+    assert q.dlsm.slots[0] is not snap
+    assert [(blk, blk.capacity, blk.head, list(blk.items))
+            for blk in snap] == published
+
+
 def test_k0_sends_every_insert_to_shared_part():
     q = Klsm(k=0, threads=1)
     h = q.register(random.Random(0))

@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 
 from conftest import drain, is_heap
-from pqbench.multiqueue import DELETE_ATTEMPTS, MultiQueue
+from pqbench.multiqueue import DELETE_ATTEMPTS, MqHandle, MultiQueue
+from pqbench.ranks import DELETE, INSERT, OpRecord, replay_ranks
 
 
 @pytest.mark.parametrize("c,p,n", [(4, 8, 32), (1, 1, 1), (4, 1, 4)])
@@ -173,6 +174,71 @@ def test_mean_rank_grows_with_queue_count():
     relaxed = mean_rank(32)
     assert exact == 1.0
     assert relaxed > exact
+
+
+# the hold model of discrete-event simulation: every step deletes the
+# minimum and inserts a key a random amount above it, so an item that one
+# heap keeps too long falls further behind the others as the run goes on
+HOLD_PREFILL = 4000
+HOLDS = 40_000
+# over seeds 0-99, two choices kept the first and last quarters within
+# 1.15x of each other, and one choice drifted at least 1.84x apart
+FLAT = 1.4
+
+
+def quarter_mean_ranks(seed):
+    """Mean rank of the first and the last quarter of a hold run on 32
+    heaps, driven from one thread and replayed from its logged history."""
+    q = MultiQueue(threads=8)
+    h = q.register(random.Random(seed))
+    keys = random.Random(seed + 1)
+    log = []
+
+    def record(kind, it):
+        log.append(OpRecord(kind, it.key, it.seq, len(log), 0))
+
+    for _ in range(HOLD_PREFILL):
+        record(INSERT, h.insert(keys.getrandbits(20)))
+    for _ in range(HOLDS):
+        it = h.delete_min()
+        record(DELETE, it)
+        record(INSERT, h.insert(it.key + keys.getrandbits(20)))
+    ranks = replay_ranks(log)
+    n = len(ranks) // 4
+    return sum(ranks[:n]) / n, sum(ranks[-n:]) / n
+
+
+def is_flat(first, last):
+    return max(first, last) < FLAT * min(first, last)
+
+
+def one_choice_delete_min(self):
+    """``MqHandle.delete_min`` with one random heap instead of the better
+    of two (one thread, so no lock)."""
+    i = self.getrandbits(self.bits)
+    while i >= self.n:
+        i = self.getrandbits(self.bits)
+    h = self.heaps[i]
+    if not h:
+        return self._sweep()
+    it = heapq.heappop(h)
+    self.tops[i] = h[0] if h else None
+    return it
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_two_choice_rank_stays_flat_over_a_long_run(seed):
+    """With two choices the expected rank is O(c*P) at every point of a
+    run (Alistarh, Kopinsky, Li & Nadiradze, PODC 2017)."""
+    first, last = quarter_mean_ranks(seed)
+    assert is_flat(first, last), (first, last)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flat_rank_gate_fails_a_one_choice_delete(monkeypatch, seed):
+    monkeypatch.setattr(MqHandle, "delete_min", one_choice_delete_min)
+    first, last = quarter_mean_ranks(seed)
+    assert not is_flat(first, last), (first, last)
 
 
 class RandrangeMultiQueue:
