@@ -5,9 +5,9 @@ Used as the quality gold standard and the throughput floor.
 """
 from __future__ import annotations
 
-import heapq
 import random
 import threading
+from heapq import heappop, heappush
 from itertools import count
 from typing import List, Optional
 
@@ -43,50 +43,57 @@ class SeqLsmQueue:
 
 
 class LockedHeap:
+    """One heap of plain-int items, ``key << 64 | seq``, behind one lock,
+    with one seq counter for the whole queue.  Its own ``insert`` and
+    ``delete_min`` run through a handle, the one op body."""
+
     def __init__(self):
         self._lock = threading.Lock()
-        self._heap: List[Item] = []
+        self._heap: List[int] = []
         self._seqs = count(make_seq(0))
+        self._own = LockedHeapHandle(self)
 
     def register(self, rng: Optional[random.Random] = None) -> "LockedHeapHandle":
         return LockedHeapHandle(self)
 
-    def insert(self, key: int, value=None) -> Item:
+    def insert(self, key: int, value=None) -> int:
         if value is not None:
             raise TypeError("items carry no payload; value must be None")
-        # acquire/release costs about half what ``with`` does (CPython 3.11)
-        lock = self._lock
-        lock.acquire()
-        try:
-            it = Item(key << 64 | next(self._seqs))
-            heapq.heappush(self._heap, it)
-        finally:
-            lock.release()
-        return it
+        return self._own.insert(key)
 
-    def delete_min(self) -> Optional[Item]:
-        lock = self._lock
-        lock.acquire()
-        try:
-            return heapq.heappop(self._heap) if self._heap else None
-        finally:
-            lock.release()
+    def delete_min(self) -> Optional[int]:
+        return self._own.delete_min()
 
-    def live_items(self) -> List[Item]:
+    def live_items(self) -> List[int]:
         with self._lock:
             return list(self._heap)
 
 
 class LockedHeapHandle:
-    """Thin per-thread wrapper so all queue kinds share one calling shape."""
+    """Per-thread front end: the queue's lock, heap and seq counter, so
+    that each op runs in this one frame, the same for every kind."""
 
-    __slots__ = ("q",)
+    __slots__ = ("lock", "heap", "_seqs")
 
     def __init__(self, q: LockedHeap):
-        self.q = q
+        self.lock, self.heap, self._seqs = q._lock, q._heap, q._seqs
 
-    def insert(self, key: int) -> Item:
-        return self.q.insert(key)
+    def insert(self, key: int) -> int:
+        # acquire/release costs about half what ``with`` does (CPython 3.11)
+        lock = self.lock
+        lock.acquire()
+        try:
+            it = key << 64 | next(self._seqs)
+            heappush(self.heap, it)
+        finally:
+            lock.release()
+        return it
 
-    def delete_min(self) -> Optional[Item]:
-        return self.q.delete_min()
+    def delete_min(self) -> Optional[int]:
+        lock = self.lock
+        lock.acquire()
+        try:
+            heap = self.heap
+            return heappop(heap) if heap else None
+        finally:
+            lock.release()

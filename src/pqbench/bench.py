@@ -29,7 +29,7 @@ from operator import eq, itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .baseline import LockedHeap, SeqLsmQueue
-from .core import SEQ_THREAD_SHIFT
+from .core import SEQ_MASK, SEQ_THREAD_SHIFT
 from .klsm import Klsm, rank_bound
 from .multiqueue import MultiQueue
 from .ranks import OpRecord, replay_ranks, summarize_ranks
@@ -256,7 +256,7 @@ def _worker(idx, handle, wl, barrier, running, out):
         else:
             dels += 1
             if note is not None:
-                note(it.key)
+                note(it >> 64)
     out[idx] = (ins, dels, absent)
 
 
@@ -275,7 +275,7 @@ class _Tracked:
         self.handle, self.inserted, self.deleted = handle, inserted, deleted
 
     def prefill(self, keys: List[int]) -> None:
-        self.inserted.extend(it.key for it in _insert_all(self.handle, keys))
+        self.inserted.extend(it >> 64 for it in _insert_all(self.handle, keys))
 
     def insert(self, key: int):
         self.inserted.append(key)
@@ -284,7 +284,7 @@ class _Tracked:
     def delete_min(self):
         it = self.handle.delete_min()
         if it is not None:
-            self.deleted.append(it.key)
+            self.deleted.append(it >> 64)
         return it
 
 
@@ -303,14 +303,15 @@ class _Logged:
 
     def prefill(self, keys: List[int]) -> None:
         log, items = self.log, _insert_all(self.handle, keys)
-        log.extend(OpRecord(INSERT, it.key, it.seq, ts, self.idx)
+        log.extend(OpRecord(INSERT, it >> 64, it & SEQ_MASK, ts, self.idx)
                    for ts, it in enumerate(items, len(log) + 1))
 
     def insert(self, key: int):
         log = self.log
         with self.commit:
             it = self._insert(key)
-            log.append(OpRecord(INSERT, key, it.seq, len(log) + 1, self.idx))
+            log.append(OpRecord(INSERT, key, it & SEQ_MASK, len(log) + 1,
+                                self.idx))
         if len(log) > MAX_LOG_EVENTS:  # unlocked: a stale read costs one op
             self._close()
         return it
@@ -320,8 +321,8 @@ class _Logged:
         with self.commit:
             it = self._delete_min()
             if it is not None:
-                log.append(OpRecord(DELETE, it.key, it.seq, len(log) + 1,
-                                    self.idx))
+                log.append(OpRecord(DELETE, it >> 64, it & SEQ_MASK,
+                                    len(log) + 1, self.idx))
         if len(log) > MAX_LOG_EVENTS:
             self._close()
         return it
@@ -364,7 +365,7 @@ def _prefill(cfg: BenchConfig, wls, handles):
 
 
 def _drain(handle) -> List[int]:
-    return [it.key for it in iter(handle.delete_min, None)]
+    return [it >> 64 for it in iter(handle.delete_min, None)]
 
 
 def _check_conservation(inserted: Iterable[int], deleted: Iterable[int],

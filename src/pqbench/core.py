@@ -16,9 +16,12 @@ from operator import lt
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 # seq = thread << 48 | counter, below 2**64 so it stays out of an item's key
-# bits; counters run unchecked: 2**48 inserts take ~8 years at 0.9 us each
-# (LockedHeap.insert, the fastest queue, CPython 3.11)
+# bits; counters run unchecked: 2**48 inserts take ~3 years at 0.35 us each
+# (LockedHeapHandle.insert, the fastest queue, CPython 3.11)
 SEQ_THREAD_SHIFT = 48
+# an item is the int key << 64 | seq: ``it >> 64`` is its key and
+# ``it & SEQ_MASK`` its seq, for plain ints and Items alike
+SEQ_MASK = (1 << 64) - 1
 
 # locks in a ClaimTable; a power of two, so an item's lock is seq & (n - 1)
 CLAIM_LOCKS = 64
@@ -34,7 +37,9 @@ def make_seq(thread_id: int) -> int:
 class Item(int):
     """A prioritised entry: the int ``key << 64 | seq``, built as
     ``Item(key << 64 | seq)`` from an int key and a seq in
-    ``[0, 2**64)``.  Smaller means higher priority.
+    ``[0, 2**64)``.  Smaller means higher priority.  klsm's parts and
+    ``SeqLsmQueue`` store Items; ``LockedHeap`` and ``MultiQueue``, which
+    need no ``taken`` flag, store the plain int.
 
     Being an int, an item compares, sorts and heap-orders in C's integer
     path, in the order of the tuple ``(key, seq)``.  Equality is by value,
@@ -50,7 +55,7 @@ class Item(int):
 
     __slots__ = ()
     key = property((64).__rrshift__)
-    seq = property(((1 << 64) - 1).__rand__)
+    seq = property(SEQ_MASK.__rand__)
     taken = False
 
     def __repr__(self) -> str:

@@ -5,6 +5,8 @@ heap; deletions sample two distinct heaps and pop the one whose top is
 smaller.  Quality is good in practice but carries no worst-case rank
 guarantee.  Lock acquisition is try-lock with re-sampling so threads
 rarely wait on each other.  A handle does each whole op in one frame.
+Items are plain ints, ``key << 64 | seq``: every heap pops each item once
+under its lock, so no item needs a ``taken`` flag.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import List, Optional
 
-from .core import Item, make_seq
+from .core import make_seq
 
 INSERT_ATTEMPTS = 8
 DELETE_ATTEMPTS = 8
@@ -29,9 +31,9 @@ class MultiQueue:
             raise ValueError("c must be >= 1")
         self.n = c * threads
         self.locks = [threading.Lock() for _ in range(self.n)]
-        self.heaps: List[List[Item]] = [[] for _ in range(self.n)]
+        self.heaps: List[List[int]] = [[] for _ in range(self.n)]
         # cached tops, read without locking when choosing a victim heap
-        self.tops: List[Optional[Item]] = [None] * self.n
+        self.tops: List[Optional[int]] = [None] * self.n
         self._reg_lock = threading.Lock()
         self._registered = 0
 
@@ -41,7 +43,7 @@ class MultiQueue:
             self._registered += 1
         return MqHandle(self, owner, rng or random.Random())
 
-    def _sweep(self) -> Optional[Item]:
+    def _sweep(self) -> Optional[int]:
         """Hold every lock at once for a consistent global pop or a firm
         answer that the structure is empty."""
         with self._all_locks():
@@ -58,7 +60,7 @@ class MultiQueue:
 
     # ------------------------------------------------------------------
 
-    def live_items(self) -> List[Item]:
+    def live_items(self) -> List[int]:
         with self._all_locks():
             return [it for h in self.heaps for it in h]
 
@@ -88,8 +90,8 @@ class MqHandle:
         self._sweep = q._sweep
         self._seqs = count(make_seq(owner))
 
-    def insert(self, key: int) -> Item:
-        it = Item(key << 64 | next(self._seqs))
+    def insert(self, key: int) -> int:
+        it = key << 64 | next(self._seqs)
         n = self.n
         bits = self.bits
         getrandbits = self.getrandbits
@@ -110,7 +112,7 @@ class MqHandle:
                 lock.release()
             return it
 
-    def delete_min(self) -> Optional[Item]:
+    def delete_min(self) -> Optional[int]:
         n = self.n
         bits = self.bits
         bits1 = self.bits1
@@ -146,7 +148,8 @@ class MqHandle:
                     continue
                 if chosen_top is not None and h[0] is not chosen_top:
                     # the top moved between sampling and locking, so the
-                    # two-choice comparison was stale; re-sample
+                    # two-choice comparison was stale; re-sample (an item's
+                    # value is unique in the queue, so ``is`` is identity)
                     continue
                 it = heappop(h)
                 tops[i] = h[0] if h else None

@@ -13,6 +13,12 @@ def item(key: int, seq: int) -> Item:
     return Item(key << 64 | seq)
 
 
+def key_seq(it: int) -> tuple[int, int]:
+    """``(key, seq)`` of an item of any queue kind: every kind returns the
+    int ``key << 64 | seq``, a plain int or an :class:`Item`."""
+    return divmod(it, 1 << 64)
+
+
 def drain(delete, *args):
     """Every item ``delete(*args)`` returns, in order, until it returns
     None."""

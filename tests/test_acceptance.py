@@ -14,7 +14,7 @@ from statistics import fmean
 
 import pytest
 
-from conftest import brute_ranks, is_heap, item, random_history
+from conftest import brute_ranks, is_heap, item, key_seq, random_history
 from pqbench.baseline import SeqLsmQueue
 from pqbench.bench import (BenchConfig, run_conservation, run_quality_rep,
                            run_throughput_rep)
@@ -46,14 +46,14 @@ def test_01_sequential_lsm_matches_heap_oracle(capsys):
     for _ in range(100_000):
         if rng.random() < 0.5:
             it = handle.insert(rng.getrandbits(32))
-            heapq.heappush(oracle, (it.key, it.seq))
+            heapq.heappush(oracle, key_seq(it))
         else:
             it = handle.delete_min()
             if not oracle:
                 mismatches += it is not None
             else:
                 expect = heapq.heappop(oracle)
-                if it is None or (it.key, it.seq) != expect:
+                if it is None or key_seq(it) != expect:
                     mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 5.0

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import key_seq
 from pqbench.baseline import LockedHeap, SeqLsmQueue
 
 
@@ -14,7 +15,7 @@ def test_locked_heap_pops_sorted():
     q = LockedHeap()
     for key in [3, 1, 2]:
         q.insert(key)
-    assert [q.delete_min().key for _ in range(3)] == [1, 2, 3]
+    assert [key_seq(q.delete_min())[0] for _ in range(3)] == [1, 2, 3]
     assert q.delete_min() is None
 
 
@@ -60,14 +61,14 @@ def test_locked_heap_drains_in_key_seq_order(ops):
             it = q.delete_min()
             assert (it is None) == (not live)
             if it is not None:
-                assert (it.key, it.seq) == min(live)
-                live.remove((it.key, it.seq))
+                assert key_seq(it) == min(live)
+                live.remove(key_seq(it))
         else:
             it = q.insert(key)
-            live.add((it.key, it.seq))
+            live.add(key_seq(it))
     out = []
     while (it := q.delete_min()) is not None:
-        out.append((it.key, it.seq))
+        out.append(key_seq(it))
     assert out == sorted(live)
 
 
@@ -101,7 +102,7 @@ def test_locked_heap_concurrent_conservation():
         if it is None:
             break
         got[0].append(it)
-    seqs = [it.seq for per in got for it in per]
+    seqs = [key_seq(it)[1] for per in got for it in per]
     assert len(seqs) == nthreads * per_thread
     assert len(set(seqs)) == len(seqs)
 
@@ -113,17 +114,17 @@ def test_seq_queue_matches_heap_oracle():
     for _ in range(3000):
         if oracle and rng.random() < 0.45:
             got = q.delete_min()
-            assert (got.key, got.seq) == heapq.heappop(oracle)
+            assert key_seq(got) == heapq.heappop(oracle)
         else:
             key = rng.getrandbits(12)
             it = q.insert(key)
-            heapq.heappush(oracle, (key, it.seq))
+            heapq.heappush(oracle, (key, key_seq(it)[1]))
     out = []
     while True:
         it = q.delete_min()
         if it is None:
             break
-        out.append((it.key, it.seq))
+        out.append(key_seq(it))
     assert out == sorted(oracle)
 
 
@@ -133,7 +134,7 @@ def test_seq_queue_live_count():
         q.insert(i)
     q.delete_min()
     assert len(q.live_items()) == 9
-    assert sorted(it.key for it in q.live_items()) == list(range(1, 10))
+    assert sorted(key_seq(it)[0] for it in q.live_items()) == list(range(1, 10))
 
 
 def test_handles_share_the_queue():
@@ -142,5 +143,5 @@ def test_handles_share_the_queue():
     h2 = q.register()
     h1.insert(2)
     h2.insert(1)
-    assert h1.delete_min().key == 1
-    assert h2.delete_min().key == 2
+    assert key_seq(h1.delete_min())[0] == 1
+    assert key_seq(h2.delete_min())[0] == 2

@@ -239,8 +239,13 @@ def test_failed_worker_exits_1(monkeypatch, capsys):
 
 def test_corrupt_quality_log_exits_1(monkeypatch, capsys):
     class Stutter(LockedHeap):
-        """Hands every deleted item out twice."""
+        """Hands every deleted item out twice.  It is its own handle: a
+        ``LockedHeapHandle`` runs its ops itself, not through the queue's
+        methods."""
         again = None
+
+        def register(self, rng=None):
+            return self
 
         def delete_min(self):
             it, self.again = self.again, None

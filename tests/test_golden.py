@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from conftest import key_seq
 from pqbench import bench
 from pqbench.baseline import LockedHeap, SeqLsmQueue
 from pqbench.klsm import Klsm
@@ -37,7 +38,7 @@ def digest(queue, handles, seed, bits=16, prefill=PREFILL):
 
     def delete(handle):
         it = handle.delete_min()
-        h.update(b"-" if it is None else it.seq.to_bytes(8, "little"))
+        h.update(b"-" if it is None else key_seq(it)[1].to_bytes(8, "little"))
         return it
 
     for _ in range(prefill):
@@ -126,11 +127,11 @@ def rank_digest(handles, seed):
         t = rng.randrange(len(handles))
         if ts < PREFILL or rng.random() < 0.5:
             it = handles[t].insert(rng.getrandbits(16))
-            logs[t].append(OpRecord(INSERT, it.key, it.seq, ts, t))
+            logs[t].append(OpRecord(INSERT, *key_seq(it), ts, t))
         else:
             it = handles[t].delete_min()
             if it is not None:
-                logs[t].append(OpRecord(DELETE, it.key, it.seq, ts, t))
+                logs[t].append(OpRecord(DELETE, *key_seq(it), ts, t))
     ranks = replay_ranks(merge_logs(logs))
     text = ",".join(map(str, ranks)).encode()
     return hashlib.sha256(text).hexdigest()[:16], len(ranks), max(ranks)

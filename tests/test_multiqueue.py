@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import drain, is_heap
+from conftest import drain, is_heap, key_seq
 from pqbench.multiqueue import DELETE_ATTEMPTS, MqHandle, MultiQueue
 from pqbench.ranks import DELETE, INSERT, OpRecord, replay_ranks
 
@@ -32,13 +32,13 @@ def test_single_queue_degenerates_to_locked_heap():
     for i in range(2000):
         if oracle and rng.random() < 0.45:
             got = h.delete_min()
-            assert (got.key, got.seq) == heapq.heappop(oracle)
+            assert key_seq(got) == heapq.heappop(oracle)
         else:
             key = rng.getrandbits(12)
             it = h.insert(key)
-            heapq.heappush(oracle, (key, it.seq))
+            heapq.heappush(oracle, (key, key_seq(it)[1]))
     got = drain(h.delete_min)
-    assert [(it.key, it.seq) for it in got] == sorted(oracle)
+    assert [key_seq(it) for it in got] == sorted(oracle)
 
 
 def test_insert_placement_uniform_chi_square():
@@ -83,7 +83,7 @@ def test_empty_returns_none_via_sweep():
     h = q.register(random.Random(0))
     assert h.delete_min() is None
     h.insert(1)
-    assert h.delete_min().key == 1
+    assert key_seq(h.delete_min())[0] == 1
     assert h.delete_min() is None
 
 
@@ -93,7 +93,7 @@ def test_sweep_finds_last_items():
     h = q.register(random.Random(8))
     for key in [5, 1, 9]:
         h.insert(key)
-    assert sorted(it.key for it in drain(h.delete_min)) == [1, 5, 9]
+    assert sorted(key_seq(it)[0] for it in drain(h.delete_min)) == [1, 5, 9]
 
 
 def test_conservation_single_threaded():
@@ -110,8 +110,8 @@ def test_conservation_single_threaded():
         else:
             it = h.delete_min()
             if it is not None:
-                removed.append(it.key)
-    removed.extend(it.key for it in drain(h.delete_min))
+                removed.append(key_seq(it)[0])
+    removed.extend(key_seq(it)[0] for it in drain(h.delete_min))
     assert Counter(removed) == Counter(inserted)
 
 
@@ -143,7 +143,7 @@ def test_concurrent_hammer_conserves_items():
     for t in threads:
         t.join()
     got[0].extend(drain(handles[0].delete_min))
-    seqs = [it.seq for per in got for it in per]
+    seqs = [key_seq(it)[1] for per in got for it in per]
     assert len(seqs) == nthreads * per_thread
     assert len(set(seqs)) == len(seqs)
     assert all(is_heap(heap) for heap in q.heaps)
@@ -161,13 +161,13 @@ def test_mean_rank_grows_with_queue_count():
         for i in range(ops):
             if not live or rng.random() < 0.5:
                 # unique keys keep the pessimistic duplicate rule out of play
-                it = h.insert(rng.getrandbits(16) << 12 | i)
-                live[it.seq] = it.key
+                key, seq = key_seq(h.insert(rng.getrandbits(16) << 12 | i))
+                live[seq] = key
             else:
-                it = h.delete_min()
-                rank = sum(1 for v in live.values() if v <= it.key)
+                key, seq = key_seq(h.delete_min())
+                rank = sum(1 for v in live.values() if v <= key)
                 ranks.append(rank)
-                del live[it.seq]
+                del live[seq]
         return sum(ranks) / len(ranks)
 
     exact = mean_rank(1)
@@ -195,14 +195,14 @@ def quarter_mean_ranks(seed):
     log = []
 
     def record(kind, it):
-        log.append(OpRecord(kind, it.key, it.seq, len(log), 0))
+        log.append(OpRecord(kind, *key_seq(it), len(log), 0))
 
     for _ in range(HOLD_PREFILL):
         record(INSERT, h.insert(keys.getrandbits(20)))
     for _ in range(HOLDS):
         it = h.delete_min()
         record(DELETE, it)
-        record(INSERT, h.insert(it.key + keys.getrandbits(20)))
+        record(INSERT, h.insert(key_seq(it)[0] + keys.getrandbits(20)))
     ranks = replay_ranks(log)
     n = len(ranks) // 4
     return sum(ranks[:n]) / n, sum(ranks[-n:]) / n

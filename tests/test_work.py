@@ -26,7 +26,7 @@ pytestmark = pytest.mark.skipif(
 OPS = 2000
 BAND = 0.05
 # opcodes per op at seed 1
-PINNED = {"klsm": 331.7, "seqlsm": 225.7, "multiq": 134.1, "globallock": 56.5}
+PINNED = {"klsm": 331.7, "seqlsm": 225.7, "multiq": 134.1, "globallock": 47.0}
 
 
 def _run_ops(next_op, insert, delete_min, ops):
@@ -85,12 +85,12 @@ class _SlowerHandle:
         self.handle = handle
 
     def insert(self, key):
-        for _ in range(5):
+        for _ in range(4):
             pass
         return self.handle.insert(key)
 
     def delete_min(self):
-        for _ in range(5):
+        for _ in range(4):
             pass
         return self.handle.delete_min()
 
