@@ -11,11 +11,12 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import List, Optional
 
-from .core import Item, Lsm, make_seq
+from .core import Lsm, make_seq
 
 
 class SeqLsmQueue:
-    """Single-threaded block-merge queue behind the common calling shape."""
+    """Single-threaded block-merge queue of plain-int items over a private
+    ``Lsm``, which reads no ``taken`` flag, behind the common calling shape."""
 
     def __init__(self):
         self.lsm = Lsm(private=True)
@@ -24,21 +25,21 @@ class SeqLsmQueue:
     def register(self, rng: Optional[random.Random] = None) -> "SeqLsmQueue":
         return self
 
-    def insert(self, key: int) -> Item:
-        it = Item(key << 64 | next(self._seqs))
+    def insert(self, key: int) -> int:
+        it = key << 64 | next(self._seqs)
         self.lsm.insert(it)
         return it
 
-    def prefill(self, keys: List[int]) -> List[Item]:
+    def prefill(self, keys: List[int]) -> List[int]:
         """The items and blocks of one :meth:`insert` per key, if empty."""
-        items = [Item(key << 64 | seq) for key, seq in zip(keys, self._seqs)]
+        items = [key << 64 | seq for key, seq in zip(keys, self._seqs)]
         self.lsm.fill(items)
         return items
 
-    def delete_min(self) -> Optional[Item]:
+    def delete_min(self) -> Optional[int]:
         return self.lsm.delete_min()
 
-    def live_items(self) -> List[Item]:
+    def live_items(self) -> List[int]:
         return list(self.lsm.live_items())
 
 

@@ -37,8 +37,8 @@ def make_seq(thread_id: int) -> int:
 class Item(int):
     """A prioritised entry: the int ``key << 64 | seq``, built as
     ``Item(key << 64 | seq)`` from an int key and a seq in
-    ``[0, 2**64)``.  Smaller means higher priority.  klsm's parts and
-    ``SeqLsmQueue`` store Items; ``LockedHeap`` and ``MultiQueue``, which
+    ``[0, 2**64)``.  Smaller means higher priority.  Only klsm's parts
+    store Items; ``LockedHeap``, ``MultiQueue`` and ``SeqLsmQueue``, which
     need no ``taken`` flag, store the plain int.
 
     Being an int, an item compares, sorts and heap-orders in C's integer
@@ -74,20 +74,26 @@ class ClaimTable:
     """Striped test-and-set over item ``taken`` flags.
 
     Every claim on items one queue can reach must go through the same
-    table, otherwise two claimants could both win.
+    table, otherwise two claimants could both win.  A table for one
+    claimant (the default allows any number) sets the flag with no lock.
     """
 
     __slots__ = ("_locks", "_mask")
 
-    def __init__(self) -> None:
-        self._locks = [threading.Lock() for _ in range(CLAIM_LOCKS)]
+    def __init__(self, claimants: Optional[int] = None) -> None:
+        n = 0 if claimants == 1 else CLAIM_LOCKS
+        self._locks = [threading.Lock() for _ in range(n)]
         self._mask = CLAIM_LOCKS - 1
 
     def try_claim(self, item: Item) -> bool:
         if item.taken:
             return False
+        locks = self._locks
+        if not locks:
+            item.__class__ = TakenItem
+            return True
         # acquire/release costs about half what ``with`` does (CPython 3.11)
-        lock = self._locks[item & self._mask]  # the seq's low bits
+        lock = locks[item & self._mask]  # the seq's low bits
         lock.acquire()
         try:
             if item.taken:
@@ -254,8 +260,9 @@ class Lsm:
 
     A ``private`` queue's blocks no other thread can ever read (the one
     behind ``SeqLsmQueue``, a one-thread group's local part): nothing in
-    them is taken or copied behind the owner's back, so its merges skip
-    the live filter and its pops move a block's head in place.
+    them is taken or copied behind the owner's back, so it never reads a
+    ``taken`` flag and may hold plain ints: its merges, peeks and walks
+    skip the live filter, and its pops move a block's head in place.
     """
 
     __slots__ = ("blocks", "size", "private")
@@ -288,10 +295,17 @@ class Lsm:
     def peek_min(self) -> Optional[Tuple[Block, Item]]:
         """Smallest live head and the block to pop it from, in one walk.
 
-        A dead head (taken by another claimant) makes the walk compact
-        the blocks, recount and start again; that may restructure blocks,
-        but the live contents are untouched.
+        A dead head (taken by another claimant; never in a private queue)
+        makes the walk compact the blocks, recount and start again; that
+        may restructure blocks, but the live contents are untouched.
         """
+        if self.private:
+            best = None
+            for blk in self.blocks:
+                it = blk.items[blk.head]
+                if best is None or it < best:
+                    best, best_blk = it, blk
+            return None if best is None else (best_blk, best)
         while True:
             best = None
             for blk in self.blocks:
@@ -352,7 +366,7 @@ class Lsm:
     def live_items(self) -> Iterator[Item]:
         for blk in self.blocks:
             for it in blk.items[blk.head:]:
-                if not it.taken:
+                if self.private or not it.taken:
                     yield it
 
     def check(self) -> None:

@@ -34,7 +34,7 @@ class Klsm:
         self.slsm = Slsm(k)
         self.dlsm = DlsmShared(threads)
         self.k = k
-        self.claims = ClaimTable()
+        self.claims = ClaimTable(threads)
 
     def register(self, rng: Optional[random.Random] = None) -> "KlsmHandle":
         """Hand out a per-thread handle; call once from each worker."""

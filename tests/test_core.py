@@ -583,24 +583,29 @@ ops_lists = st.lists(st.one_of(st.none(), st.integers(0, 7)), max_size=300)
 @example(256, [None] * 257)             # every pop of a full 256-block
 @example(0, [0] * 256 + [None] * 200)   # merges of every size up to 256
 def test_private_lsm_matches_shared_after_every_op(prefill, ops):
-    """A private Lsm holds the same items in the same blocks as a shared
-    one fed the same ops; only where a head lives differs."""
+    """A private Lsm of plain ints holds the same items in the same blocks
+    as a shared one of Items fed the same ops; only where a head lives
+    differs.  The private one never reads a ``taken`` flag."""
     private, shared = Lsm(private=True), Lsm()
     start = items([k * 37 % 11 for k in range(prefill)])
     seqs = count(make_seq(0) + prefill)
-    private.fill(start)
+    private.fill(list(map(int, start)))
     shared.fill(start)
     assert shape(private) == shape(shared)
     for op in ops:
         if op is None:
-            assert private.delete_min() is shared.delete_min()
+            got = private.delete_min()
+            assert got == shared.delete_min()
+            assert got is None or type(got) is int
         else:
             it = item(op, next(seqs))
-            private.insert(it)
+            private.insert(int(it))
             shared.insert(it)
         assert private.size == shared.size
         assert shape(private) == shape(shared)
         private.check()
+    assert all(type(it) is int for it in private.live_items())
+    assert list(private.live_items()) == list(shared.live_items())
 
 
 def test_private_pop_moves_the_head_in_place_until_the_block_shrinks():
@@ -686,6 +691,18 @@ def test_claims_leave_every_stripe_free():
 
     assert not table.try_claim(LosesTheRace(2 << 64 | make_seq(0) + 6))
     assert free()
+
+
+def test_one_claimant_table_hands_out_each_item_once():
+    """A table for one claimant takes no lock, yet still sets the flag
+    that copies elsewhere are skipped by; the default table locks."""
+    assert len(ClaimTable()._locks) == core.CLAIM_LOCKS
+    table = ClaimTable(1)
+    assert table._locks == []
+    pool = items(range(100))
+    won = [table.try_claim(it) for it in pool + pool]
+    assert won == [True] * 100 + [False] * 100
+    assert all(type(it) is TakenItem for it in pool)
 
 
 def test_concurrent_claims_deliver_each_item_once():

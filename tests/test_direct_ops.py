@@ -18,6 +18,18 @@ def test_every_kind_reports_ns_per_op():
     assert all(float(ns) > 0 for ns in got.values())
 
 
+def test_gc_collections_count_tracked_allocations_only():
+    """Collections per 1 000 timed ops: a plain-int heap allocates nothing
+    the cyclic collector tracks, klsm's items are tracked."""
+    out = subprocess.run(
+        [sys.executable, TOOL, "--queue", "globallock", "--queue", "klsm",
+         "--prefill", "3000", "--ops", "6000", "--rounds", "2"],
+        check=True, capture_output=True, text=True, timeout=60).stdout
+    got = dict(re.findall(r"^(\w+) .* ([\d.]+) gc/1k ops ", out, re.M))
+    assert float(got["globallock"]) == 0
+    assert float(got["klsm"]) > 0
+
+
 def test_two_sources_report_a_ratio_and_wins():
     src = os.path.join(ROOT, "src")
     out = subprocess.run(

@@ -1,9 +1,10 @@
 """The item protocol: every queue kind returns the int ``key << 64 | seq``.
 
-``globallock`` and ``multiq`` return plain ints, which the cyclic collector
-does not track; ``klsm`` and ``seqlsm`` return :class:`pqbench.core.Item`s,
-whose class carries klsm's ``taken`` flag.  The harness reads every kind
-the same way, by shift and mask, and the tests read them by ``divmod``.
+``globallock``, ``multiq`` and ``seqlsm`` return plain ints, which the
+cyclic collector does not track; ``klsm`` returns
+:class:`pqbench.core.Item`s, whose class carries its ``taken`` flag.  The
+harness reads every kind the same way, by shift and mask, and the tests
+read them by ``divmod``.
 """
 import gc
 import threading
@@ -28,7 +29,7 @@ def build(queue, **shape):
     return (cfg, *bench._build_run(cfg, 0))
 
 
-@pytest.mark.parametrize("queue", ["globallock", "multiq"])
+@pytest.mark.parametrize("queue", ["globallock", "multiq", "seqlsm"])
 def test_plain_kinds_return_untracked_ints(queue):
     cfg, q, wls, handles = build(queue)
     bench._prefill(cfg, wls, handles)
@@ -42,7 +43,7 @@ def test_plain_kinds_return_untracked_ints(queue):
     assert all(type(it) is int and not gc.is_tracked(it) for it in items)
 
 
-@pytest.mark.parametrize("queue", ["klsm", "seqlsm"])
+@pytest.mark.parametrize("queue", ["klsm"])
 def test_lsm_kinds_return_items(queue):
     cfg, q, wls, handles = build(queue)
     h = handles[0]

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import drain, item
+from pqbench.core import ClaimTable
 from pqbench.klsm import Klsm, rank_bound
 
 
@@ -178,8 +179,11 @@ def test_live_count_counts_spied_copies_once():
 
 def test_lost_claim_peeks_again_and_returns_the_next_item():
     """Another claimant wins the local head between this delete's peek and
-    its claim; the delete must peek again and hand out the next item."""
-    q = Klsm(k=8, threads=1)        # nothing spills: every item stays local
+    its claim; the delete must peek again and hand out the next item.
+    Two thread slots, one handle: the local part is shared, so a second
+    claimant can exist (a one-thread local part is private: nobody else
+    claims its items)."""
+    q = Klsm(k=8, threads=2)        # nothing spills: every item stays local
     h = q.register(random.Random(0))
     for key in range(5):
         h.insert(key)
@@ -267,6 +271,29 @@ def test_spied_blocks_spilled_again_keep_shared_blocks_valid():
                 blk.check()
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def test_one_thread_klsm_claims_without_a_lock(monkeypatch):
+    """One handle is the only claimant, so its table has no lock; every
+    delete still claims through ``ClaimTable.try_claim``, once, and wins."""
+    assert Klsm(k=4, threads=2).claims._locks
+    won = []
+    try_claim = ClaimTable.try_claim
+
+    def counted(table, it):
+        won.append(try_claim(table, it))
+        return won[-1]
+
+    monkeypatch.setattr(ClaimTable, "try_claim", counted)
+    q = Klsm(k=4, threads=1)
+    assert q.claims._locks == []
+    h = q.register(random.Random(0))
+    for key in range(40):        # spills: claims come from both parts
+        h.insert(key * 7 % 40)
+    assert q.slsm.live_items()
+    got = drain(h.delete_min)
+    assert sorted(it.key for it in got) == list(range(40))
+    assert won == [True] * 40 and all(it.taken for it in got)
 
 
 def test_two_registrations_share_claim_table():

@@ -22,7 +22,7 @@ from pqbench.klsm import Klsm
 from pqbench.ranks import INSERT, OpRecord
 from pqbench.workload import inserter_ids, prefill_shares
 
-from conftest import item
+from conftest import item, key_seq
 
 KS = (0, 1, 3, 4, 5, 16, 100, 256)
 KEYS = ("uniform8", "unique32", "ascending", "descending")
@@ -37,7 +37,8 @@ def reference_prefill(cfg, wls, handles, log, inserted):
         for _ in range(share):
             key = wl.prefill_key()
             it = handle.insert(key)
-            log.append(OpRecord(INSERT, key, it.seq, len(log) + 1, tid))
+            seq = key_seq(it)[1]
+            log.append(OpRecord(INSERT, key, seq, len(log) + 1, tid))
             inserted.append(key)
 
 
@@ -80,10 +81,10 @@ def deleted_seqs(queue, handles, seed):
             handle.insert(rng.getrandbits(16))
         else:
             it = handle.delete_min()
-            out.append(None if it is None else it.seq)
+            out.append(None if it is None else key_seq(it)[1])
     for handle in handles:
         while (it := handle.delete_min()) is not None:
-            out.append(it.seq)
+            out.append(key_seq(it)[1])
     version = queue.slsm.version if isinstance(queue, Klsm) else 0
     return out, version
 

@@ -5,20 +5,24 @@ Each measurement is one fresh interpreter pinned to one core.  It imports
 a prefill of uniform 32-bit keys through one handle and times a list of
 pre-drawn mixed ops (half inserts, half deletes, drawn at a fixed seed)
 called straight on the handle: no harness, no workload object.  A process
-reports the minimum over its rounds.
+reports the minimum over its rounds, and the cyclic garbage collector's
+collections per 1 000 timed ops (the ``gc.get_stats()`` delta over each
+timed pass, summed over its rounds).
 
     python tools/direct_ops.py                       # this checkout
     python tools/direct_ops.py --src ../parent/src --src src --pairs 8
 
 Every ``--src`` is run once per pair, in alternating order, so host drift
 falls on both sides alike.  The report gives, per kind and source, the
-median of the processes' ns/op with its quartiles; with two sources it
-adds the second's median over the first's and how many pairs the second
-won.  Standard library only.
+median of the processes' ns/op with its quartiles and the median of their
+collections per 1 000 ops; with two sources it adds the second's median
+ns/op over the first's and how many pairs the second won.  Standard
+library only.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import random
 import subprocess
@@ -41,20 +45,28 @@ def make_queue(kind: str):
     return SeqLsmQueue()
 
 
-def ns_per_op(kind: str, prefill: int, ops: int, rounds: int,
-              seed: int = 1) -> float:
-    """The minimum over ``rounds`` of one timed pass over ``ops``
-    pre-drawn ops after a ``prefill``, each round on a fresh queue."""
+def collections() -> int:
+    """Cyclic-GC collections so far, over every generation."""
+    return sum(gen["collections"] for gen in gc.get_stats())
+
+
+def time_ops(kind: str, prefill: int, ops: int, rounds: int,
+             seed: int = 1):
+    """The minimum ns/op over ``rounds`` of one timed pass over ``ops``
+    pre-drawn ops after a ``prefill``, each round on a fresh queue, and
+    the collections per 1 000 ops that the timed passes ran."""
     rng = random.Random(seed)
     keys = [rng.getrandbits(32) for _ in range(prefill)]
     script = [rng.getrandbits(32) if rng.random() < 0.5 else None
               for _ in range(ops)]
     best = float("inf")
+    gcs = 0
     for r in range(rounds):
         h = make_queue(kind).register(random.Random(seed + r))
         insert, delete_min = h.insert, h.delete_min
         for key in keys:
             insert(key)
+        gc0 = collections()
         t0 = time.perf_counter_ns()
         for key in script:
             if key is None:
@@ -62,22 +74,24 @@ def ns_per_op(kind: str, prefill: int, ops: int, rounds: int,
             else:
                 insert(key)
         best = min(best, (time.perf_counter_ns() - t0) / ops)
-    return best
+        gcs += collections() - gc0
+    return best, gcs * 1000 / (rounds * ops)
 
 
 def child(args) -> None:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, args.child_src)
-    print(ns_per_op(args.child, args.prefill, args.ops, args.rounds))
+    print(*time_ops(args.child, args.prefill, args.ops, args.rounds))
 
 
-def measure(src: str, kind: str, args) -> float:
+def measure(src: str, kind: str, args):
+    """``(ns/op, collections per 1 000 ops)`` from one fresh process."""
     cmd = [sys.executable, os.path.abspath(__file__), "--child", kind,
            "--child-src", src, "--prefill", str(args.prefill),
            "--ops", str(args.ops), "--rounds", str(args.rounds)]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True)
-    return float(out.stdout)
+    return tuple(map(float, out.stdout.split()))
 
 
 def quartiles(xs):
@@ -119,11 +133,12 @@ def main(argv=None) -> int:
             for src in order:
                 runs[src].append(measure(src, kind, args))
         for src in srcs:
-            q1, med, q3 = quartiles(runs[src])
+            q1, med, q3 = quartiles([ns for ns, _ in runs[src]])
+            gcs = quartiles([gc for _, gc in runs[src]])[1]
             print(f"{kind:<10} {med:8.1f} ns/op  (quartiles {q1:.1f}-{q3:.1f})"
-                  f"  {src}")
+                  f"  {gcs:6.2f} gc/1k ops  {src}")
         if len(srcs) == 2:
-            a, b = (runs[s] for s in srcs)
+            a, b = ([ns for ns, _ in runs[s]] for s in srcs)
             ratio = quartiles(b)[1] / quartiles(a)[1]
             wins = sum(y < x for x, y in zip(a, b))
             print(f"{kind:<10} second/first {ratio:.3f}, second faster in "
