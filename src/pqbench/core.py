@@ -5,9 +5,9 @@ sequence number that makes the order total and replay deterministic.  The
 queue keeps its items in sorted blocks whose power-of-two capacities are
 pairwise distinct; inserting adds a singleton block and merges equal
 capacities binary-counter style, deleting pops the smallest block head.
-Both operations are O(log n) amortised.  A merge is one C sort of the two
-runs, then one pass that drops consumed items and second copies; the carry
-chain carries the merged list and builds one block where it lands.
+Both operations are O(log n) amortised.  A merge is one C sort, then one
+pass that drops consumed items and second copies.  A private queue's insert
+carries in its own frame, only meets the tail and doubles its capacity.
 """
 from __future__ import annotations
 
@@ -206,7 +206,8 @@ def place(blocks: List[Block], blk: Block, private: bool = False) -> int:
     again from the small end.  One new block is built where the carry
     lands, so snapshots that hold the old ones stay valid.  Returns how
     many slots the merges dropped (taken items and second copies), so a
-    caller can keep its occupancy count; ``private`` merges drop none.
+    caller can keep its occupancy count; ``private`` merges drop none.  A
+    private :class:`Lsm`'s insert never walks here, only a pop that shrinks.
     """
     items, head, cap = blk.items, blk.head, blk.capacity
     dropped = 0
@@ -262,7 +263,8 @@ class Lsm:
     behind ``SeqLsmQueue``, a one-thread group's local part): nothing in
     them is taken or copied behind the owner's back, so it never reads a
     ``taken`` flag and may hold plain ints: its merges, peeks and walks
-    skip the live filter, and its pops move a block's head in place.
+    skip the live filter, its pops move a block's head in place, and its
+    insert carries in its own frame, only ever meeting the tail.
     """
 
     __slots__ = ("blocks", "size", "private")
@@ -275,7 +277,17 @@ class Lsm:
         self.private = private
 
     def insert(self, item: Item) -> None:
-        self.size += 1 - place(self.blocks, Block(1, [item]), self.private)
+        if not self.private:
+            self.size += 1 - place(self.blocks, Block(1, [item]))
+            return
+        # nothing dropped, blocks over half full: two c-blocks fill a 2c one
+        self.size += 1
+        blocks, items, cap = self.blocks, [item], 1
+        while blocks and blocks[-1].capacity == cap:
+            b = blocks.pop()
+            items = merge_sorted_live(b.items, b.head, items, 0, True)
+            cap <<= 1
+        blocks.append(Block(cap, items))
 
     def fill(self, items: List[Item]) -> None:
         """Into an empty queue, the blocks that inserting ``items`` in order

@@ -582,6 +582,7 @@ ops_lists = st.lists(st.one_of(st.none(), st.integers(0, 7)), max_size=300)
 @given(st.integers(0, 300), ops_lists)
 @example(256, [None] * 257)             # every pop of a full 256-block
 @example(0, [0] * 256 + [None] * 200)   # merges of every size up to 256
+@example(256, [None] * 100 + [0] * 300)  # a carry into a block popped in place
 def test_private_lsm_matches_shared_after_every_op(prefill, ops):
     """A private Lsm of plain ints holds the same items in the same blocks
     as a shared one of Items fed the same ops; only where a head lives

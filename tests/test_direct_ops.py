@@ -39,3 +39,18 @@ def test_two_sources_report_a_ratio_and_wins():
         check=True, capture_output=True, text=True, timeout=60).stdout
     assert re.search(r"^globallock second/first [\d.]+, second faster in "
                      r"[012] of 2 pairs$", out, re.M), out
+    assert re.search(r"^globallock raw second/first [\d.]+, second faster "
+                     r"in [012] of 2 pairs$", out, re.M), out
+
+
+def test_every_kind_reports_rescaled_ns_per_op():
+    """Next to the raw figure, each kind's ns/op rescaled by the reference
+    workload timed around each pass."""
+    out = subprocess.run(
+        [sys.executable, TOOL, "--prefill", "200", "--ops", "400",
+         "--rounds", "2"],
+        check=True, capture_output=True, text=True, timeout=60).stdout
+    got = dict(re.findall(r"^(\w+) +[\d.]+ ns/op .* ([\d.]+) rescaled ns/op ",
+                          out, re.M))
+    assert sorted(got) == sorted(["globallock", "multiq", "seqlsm", "klsm"])
+    assert all(float(ns) > 0 for ns in got.values())

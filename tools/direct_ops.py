@@ -4,25 +4,31 @@ Each measurement is one fresh interpreter pinned to one core.  It imports
 ``pqbench`` from a source tree, then, per round, builds the queue, inserts
 a prefill of uniform 32-bit keys through one handle and times a list of
 pre-drawn mixed ops (half inserts, half deletes, drawn at a fixed seed)
-called straight on the handle: no harness, no workload object.  A process
-reports the minimum over its rounds, and the cyclic garbage collector's
-collections per 1 000 timed ops (the ``gc.get_stats()`` delta over each
-timed pass, summed over its rounds).
+called straight on the handle: no harness, no workload object.  Around
+each timed pass it times a fixed stdlib heap workload (a copy of
+``perfbench/child.py``'s ``reference_mops``), and rescales the pass's ns/op
+to a host on which that workload runs at ``REF_MOPS``, so the host's speed
+drift between processes cancels.  A process reports the minimum over its
+rounds of the raw and of the rescaled ns/op, and the cyclic garbage
+collector's collections per 1 000 timed ops (the ``gc.get_stats()`` delta
+over each timed pass, summed over its rounds).
 
     python tools/direct_ops.py                       # this checkout
     python tools/direct_ops.py --src ../parent/src --src src --pairs 8
 
 Every ``--src`` is run once per pair, in alternating order, so host drift
 falls on both sides alike.  The report gives, per kind and source, the
-median of the processes' ns/op with its quartiles and the median of their
-collections per 1 000 ops; with two sources it adds the second's median
-ns/op over the first's and how many pairs the second won.  Standard
+median of the processes' raw and rescaled ns/op, each with its quartiles,
+and the median of their collections per 1 000 ops; with two sources it
+adds the second's median rescaled ns/op over the first's and how many
+pairs the second won, then the same from the raw figures.  Standard
 library only.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import heapq
 import os
 import random
 import subprocess
@@ -32,6 +38,11 @@ import time
 KINDS = ("globallock", "multiq", "seqlsm", "klsm")
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_SRC = os.path.join(os.path.dirname(HERE), "src")
+# operations of one reference measurement, as in perfbench/child.py
+REF_OPS = 12_000
+# the reference speed, in Mops/s, that rescaled ns/op are scaled to (the
+# speed perfbench/run.py rescales its throughput to)
+REF_MOPS = 0.30
 
 
 def make_queue(kind: str):
@@ -45,6 +56,34 @@ def make_queue(kind: str):
     return SeqLsmQueue()
 
 
+class _RefItem:
+    __slots__ = ("key", "seq")
+
+    def __init__(self, key: int, seq: int):
+        self.key = key
+        self.seq = seq
+
+    def __lt__(self, other: "_RefItem") -> bool:
+        return (self.key, self.seq) < (other.key, other.seq)
+
+
+def reference_mops() -> float:
+    """Speed, in Mops/s, of a fixed pure-Python heap workload: push and pop
+    of small objects compared by a Python method, the kind of work the
+    queues do, but none of the program's code."""
+    heap = [_RefItem(i * 7919 % 65536, i) for i in range(2000)]
+    heapq.heapify(heap)
+    x = 12345
+    t0 = time.perf_counter()
+    for i in range(REF_OPS):
+        x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+        if x & 1:
+            heapq.heappush(heap, _RefItem(x >> 15, i))
+        else:
+            heapq.heappop(heap)
+    return REF_OPS / (time.perf_counter() - t0) / 1e6
+
+
 def collections() -> int:
     """Cyclic-GC collections so far, over every generation."""
     return sum(gen["collections"] for gen in gc.get_stats())
@@ -52,20 +91,23 @@ def collections() -> int:
 
 def time_ops(kind: str, prefill: int, ops: int, rounds: int,
              seed: int = 1):
-    """The minimum ns/op over ``rounds`` of one timed pass over ``ops``
-    pre-drawn ops after a ``prefill``, each round on a fresh queue, and
-    the collections per 1 000 ops that the timed passes ran."""
+    """The minimum raw and rescaled ns/op over ``rounds`` of one timed
+    pass over ``ops`` pre-drawn ops after a ``prefill``, each round on a
+    fresh queue, and the collections per 1 000 ops that the timed passes
+    ran.  A pass is rescaled by the geometric mean of the reference speeds
+    timed just before and just after it."""
     rng = random.Random(seed)
     keys = [rng.getrandbits(32) for _ in range(prefill)]
     script = [rng.getrandbits(32) if rng.random() < 0.5 else None
               for _ in range(ops)]
-    best = float("inf")
+    best = scaled = float("inf")
     gcs = 0
     for r in range(rounds):
         h = make_queue(kind).register(random.Random(seed + r))
         insert, delete_min = h.insert, h.delete_min
         for key in keys:
             insert(key)
+        ref = reference_mops()
         gc0 = collections()
         t0 = time.perf_counter_ns()
         for key in script:
@@ -73,9 +115,12 @@ def time_ops(kind: str, prefill: int, ops: int, rounds: int,
                 delete_min()
             else:
                 insert(key)
-        best = min(best, (time.perf_counter_ns() - t0) / ops)
+        ns = (time.perf_counter_ns() - t0) / ops
         gcs += collections() - gc0
-    return best, gcs * 1000 / (rounds * ops)
+        ref = (ref * reference_mops()) ** 0.5
+        best = min(best, ns)
+        scaled = min(scaled, ns * ref / REF_MOPS)
+    return best, scaled, gcs * 1000 / (rounds * ops)
 
 
 def child(args) -> None:
@@ -86,7 +131,8 @@ def child(args) -> None:
 
 
 def measure(src: str, kind: str, args):
-    """``(ns/op, collections per 1 000 ops)`` from one fresh process."""
+    """``(ns/op, rescaled ns/op, collections per 1 000 ops)`` from one
+    fresh process."""
     cmd = [sys.executable, os.path.abspath(__file__), "--child", kind,
            "--child-src", src, "--prefill", str(args.prefill),
            "--ops", str(args.ops), "--rounds", str(args.rounds)]
@@ -127,22 +173,27 @@ def main(argv=None) -> int:
     srcs = [os.path.abspath(s) for s in args.src or [DEFAULT_SRC]]
     kinds = args.queue or list(KINDS)
     for kind in kinds:
-        runs = {src: [] for src in srcs}
+        # one list per --src, so a tree given twice is measured twice
+        runs = [[] for _ in srcs]
+        sides = list(range(len(srcs)))
         for p in range(args.pairs):
-            order = srcs if p % 2 == 0 else srcs[::-1]
-            for src in order:
-                runs[src].append(measure(src, kind, args))
-        for src in srcs:
-            q1, med, q3 = quartiles([ns for ns, _ in runs[src]])
-            gcs = quartiles([gc for _, gc in runs[src]])[1]
+            for i in sides if p % 2 == 0 else sides[::-1]:
+                runs[i].append(measure(srcs[i], kind, args))
+        for src, rs in zip(srcs, runs):
+            q1, med, q3 = quartiles([r[0] for r in rs])
+            s1, smed, s3 = quartiles([r[1] for r in rs])
+            gcs = quartiles([r[2] for r in rs])[1]
             print(f"{kind:<10} {med:8.1f} ns/op  (quartiles {q1:.1f}-{q3:.1f})"
+                  f"  {smed:8.1f} rescaled ns/op  (quartiles {s1:.1f}-{s3:.1f})"
                   f"  {gcs:6.2f} gc/1k ops  {src}")
         if len(srcs) == 2:
-            a, b = ([ns for ns, _ in runs[s]] for s in srcs)
-            ratio = quartiles(b)[1] / quartiles(a)[1]
-            wins = sum(y < x for x, y in zip(a, b))
-            print(f"{kind:<10} second/first {ratio:.3f}, second faster in "
-                  f"{wins} of {args.pairs} pairs")
+            # the rescaled figures decide; the raw ones follow for reference
+            for col, label in ((1, ""), (0, " raw")):
+                a, b = ([r[col] for r in rs] for rs in runs)
+                ratio = quartiles(b)[1] / quartiles(a)[1]
+                wins = sum(y < x for x, y in zip(a, b))
+                print(f"{kind:<10}{label} second/first {ratio:.3f}, second "
+                      f"faster in {wins} of {args.pairs} pairs")
     return 0
 
 
