@@ -128,18 +128,21 @@ def merge_sorted_live(
     :func:`sorted_live`.  Inputs are never mutated, so the result can
     safely replace blocks that snapshots still reference.  Two tails of one
     item each, the commonest merge, are compared directly, same outcome.
-    A ``private`` merge (see :class:`Lsm`) only sorts: no other thread
-    takes its items or copies them in, so the filter would drop nothing.
+    A ``private`` merge (see :class:`Lsm`) skips the filter, since no other
+    thread takes its items or copies them in: it orders a pair by one
+    compare and sorts anything longer.
     """
-    if private:
-        return sorted(items_a[start_a:] + items_b[start_b:])
     if len(items_a) == start_a + 1 and len(items_b) == start_b + 1:
         x, y = items_a[start_a], items_b[start_b]
+        if private:
+            return [y, x] if y < x else [x, y]
         if x.taken:
             return [] if y.taken else [y]
         if y.taken or x is y:
             return [x]
         return [y, x] if y < x else [x, y]
+    if private:
+        return sorted(items_a[start_a:] + items_b[start_b:])
     return sorted_live(items_a[start_a:] + items_b[start_b:])
 
 
@@ -155,7 +158,7 @@ class Block:
     A shared block never changes once built: popping a head makes a new
     block over the same item list, so published snapshots stay as they
     were.  Only a private :class:`Lsm`, whose blocks no other thread can
-    read, moves a head in place, while the block still fits its capacity.
+    read, changes its blocks in place, in its pops and its insert carry.
     """
 
     __slots__ = ("capacity", "items", "head")
@@ -264,7 +267,7 @@ class Lsm:
     them is taken or copied behind the owner's back, so it never reads a
     ``taken`` flag and may hold plain ints: its merges, peeks and walks
     skip the live filter, its pops move a block's head in place, and its
-    insert carries in its own frame, only ever meeting the tail.
+    insert carries in its own frame into the last tail block it popped.
     """
 
     __slots__ = ("blocks", "size", "private")
@@ -277,6 +280,8 @@ class Lsm:
         self.private = private
 
     def insert(self, item: Item) -> None:
+        """A private queue merges its equal-capacity tail blocks into the
+        carry (1+1 by one compare) and reuses the last block it popped."""
         if not self.private:
             self.size += 1 - place(self.blocks, Block(1, [item]))
             return
@@ -287,7 +292,11 @@ class Lsm:
             b = blocks.pop()
             items = merge_sorted_live(b.items, b.head, items, 0, True)
             cap <<= 1
-        blocks.append(Block(cap, items))
+        if cap == 1:
+            b = Block(1, items)
+        else:  # the last block popped has no other reader: reuse it
+            b.capacity, b.items, b.head = cap, items, 0
+        blocks.append(b)
 
     def fill(self, items: List[Item]) -> None:
         """Into an empty queue, the blocks that inserting ``items`` in order

@@ -2,7 +2,8 @@
 
 Every registered thread owns a private :class:`~pqbench.core.Lsm` and
 publishes an immutable snapshot of its block list after each structural
-change; a one-thread group, which has nobody to spy, publishes nothing.
+change; a one-thread group, which has nobody to spy, publishes nothing,
+and its klsm handle peeks the local part directly.
 A thread whose local queue runs dry copies ("spies") another thread's
 published snapshot instead of stealing.  A handle claims and hands out
 nothing; it only reads ``taken`` flags.  :meth:`DlsmHandle.peek` names
@@ -62,13 +63,15 @@ class DlsmHandle:
 
     def insert(self, item: Item) -> None:
         self.local.insert(item)
-        self.publish()
+        if self.shared.nthreads > 1:  # as publish() tests; saves its frame
+            self.publish()
 
     def peek(self) -> Optional[Tuple[Block, Item]]:
         """Smallest live local entry, spying once if the local queue is dry.
 
         Nothing is claimed; callers that want the item must win it in the
-        claim table and then :meth:`consume` the block head.
+        claim table and then :meth:`consume` the block head.  A one-thread
+        handle has no victim to spy, so its caller calls ``local.peek_min()``.
         """
         loc = self.local.peek_min()
         if loc is not None:
@@ -81,7 +84,8 @@ class DlsmHandle:
     def consume(self, blk: Block) -> None:
         """Drop a block head that the caller just claimed via :meth:`peek`."""
         self.local.pop_head(blk)
-        self.publish()
+        if self.shared.nthreads > 1:
+            self.publish()
 
     def spy(self) -> int:
         """Copy the first victim snapshot with a live item into the local

@@ -91,8 +91,10 @@ class KlsmHandle:
     def delete_min(self) -> Optional[Item]:
         """One of the k*P+1 smallest live items, or None if observed empty."""
         q = self.q
+        local = self.dlsm.local
         while True:
-            pair = self.dlsm.peek()
+            # private: a one-thread group's, with no victim for peek() to spy
+            pair = local.peek_min() if local.private else self.dlsm.peek()
             cand = q.slsm.peek_candidate(self.rng)
             if pair is None and cand is None:
                 return None

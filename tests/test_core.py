@@ -408,6 +408,22 @@ def test_pair_merge_matches_general_path_and_oracle(keys, dead):
     assert len(fast) == (dead == "none") + (dead in ("none", "left", "right"))
 
 
+@pytest.mark.parametrize("plain", [False, True])
+@pytest.mark.parametrize("keys", [(5, 3), (3, 5), (4, 4)])
+def test_private_pair_merge_matches_sorted_tails(keys, plain):
+    """A private merge of two one-item tails orders them by one compare,
+    as sorting the tails would, for Items and for plain ints; the items
+    before ``start`` are left out."""
+    x, y = item(keys[0], 2), item(keys[1], 1)
+    if plain:
+        x, y = int(x), int(y)
+    for a, i in (([x], 0), ([y - 1, x], 1)):
+        for b, j in (([y], 0), ([x - 1, y], 1)):
+            got = merge_sorted_live(a, i, b, j, True)
+            assert got == sorted(a[i:] + b[j:])
+            assert [id(it) for it in got] == [id(it) for it in sorted([x, y])]
+
+
 @pytest.mark.parametrize("dead", [False, True])
 def test_pair_merge_of_one_item_with_itself_keeps_one_copy(dead):
     x = item(5, 1)

@@ -54,3 +54,20 @@ def test_every_kind_reports_rescaled_ns_per_op():
                           out, re.M))
     assert sorted(got) == sorted(["globallock", "multiq", "seqlsm", "klsm"])
     assert all(float(ns) > 0 for ns in got.values())
+
+
+def test_calls_per_op_repeat_and_rank_the_kinds():
+    """Python calls per op come from one untimed pass at a fixed seed, so
+    a second run prints the same column; a klsm op makes more calls than
+    a one-frame globallock op."""
+    def calls():
+        out = subprocess.run(
+            [sys.executable, TOOL, "--queue", "globallock", "--queue", "klsm",
+             "--prefill", "300", "--ops", "600", "--rounds", "1"],
+            check=True, capture_output=True, text=True, timeout=60).stdout
+        return dict(re.findall(r"^(\w+) .* ([\d.]+) calls/op ", out, re.M))
+
+    first = calls()
+    assert sorted(first) == ["globallock", "klsm"]
+    assert calls() == first
+    assert float(first["klsm"]) > float(first["globallock"]) == 1

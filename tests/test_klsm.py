@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import drain, item
-from pqbench.core import ClaimTable
+from pqbench.core import ClaimTable, Lsm
 from pqbench.klsm import Klsm, rank_bound
 
 
@@ -294,6 +294,43 @@ def test_one_thread_klsm_claims_without_a_lock(monkeypatch):
     got = drain(h.delete_min)
     assert sorted(it.key for it in got) == list(range(40))
     assert won == [True] * 40 and all(it.taken for it in got)
+
+
+def test_one_thread_klsm_never_mutates_a_block_it_let_go(monkeypatch):
+    """A private local part reuses the last block its insert carry popped.
+    A block it spilled, or one the shared part holds, has left the local
+    part: its capacity, head and item list (object and contents) stay as
+    they were when it was first seen."""
+    seen = {}
+
+    def record(blk):
+        if id(blk) not in seen:   # the block is kept, so its id stays its own
+            seen[id(blk)] = (blk, blk.capacity, blk.head, blk.items,
+                             list(blk.items))
+
+    spill_largest = Lsm.spill_largest
+
+    def spill(lsm):
+        blk = spill_largest(lsm)
+        record(blk)
+        return blk
+
+    monkeypatch.setattr(Lsm, "spill_largest", spill)
+    q = Klsm(k=8, threads=1)
+    h = q.register(random.Random(5))
+    assert h.dlsm.local.private
+    rng = random.Random(7)
+    for _ in range(3000):
+        if rng.random() < 0.6:
+            h.insert(rng.getrandbits(12))
+        else:
+            h.delete_min()
+        for blk in q.slsm._state.blocks:
+            record(blk)
+    assert len(seen) > 100
+    for blk, cap, head, its, copy in seen.values():
+        assert (blk.capacity, blk.head) == (cap, head)
+        assert blk.items is its and its == copy
 
 
 def test_two_registrations_share_claim_table():

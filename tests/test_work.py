@@ -26,7 +26,7 @@ pytestmark = pytest.mark.skipif(
 OPS = 2000
 BAND = 0.05
 # opcodes per op at seed 1
-PINNED = {"klsm": 271.0, "seqlsm": 168.3, "multiq": 132.6, "globallock": 47.0}
+PINNED = {"klsm": 273.8, "seqlsm": 176.8, "multiq": 132.6, "globallock": 47.0}
 
 
 def _run_ops(next_op, insert, delete_min, ops):

@@ -9,9 +9,11 @@ each timed pass it times a fixed stdlib heap workload (a copy of
 ``perfbench/child.py``'s ``reference_mops``), and rescales the pass's ns/op
 to a host on which that workload runs at ``REF_MOPS``, so the host's speed
 drift between processes cancels.  A process reports the minimum over its
-rounds of the raw and of the rescaled ns/op, and the cyclic garbage
+rounds of the raw and of the rescaled ns/op, the cyclic garbage
 collector's collections per 1 000 timed ops (the ``gc.get_stats()`` delta
-over each timed pass, summed over its rounds).
+over each timed pass, summed over its rounds), and the Python calls per
+op of one untimed pass over the same script under ``sys.setprofile``.
+The call count repeats exactly; it stands next to the time, never for it.
 
     python tools/direct_ops.py                       # this checkout
     python tools/direct_ops.py --src ../parent/src --src src --pairs 8
@@ -19,10 +21,10 @@ over each timed pass, summed over its rounds).
 Every ``--src`` is run once per pair, in alternating order, so host drift
 falls on both sides alike.  The report gives, per kind and source, the
 median of the processes' raw and rescaled ns/op, each with its quartiles,
-and the median of their collections per 1 000 ops; with two sources it
-adds the second's median rescaled ns/op over the first's and how many
-pairs the second won, then the same from the raw figures.  Standard
-library only.
+and the medians of their collections per 1 000 ops and calls per op;
+with two sources it adds the second's median rescaled ns/op over the
+first's and how many pairs the second won, then the same from the raw
+figures.  Standard library only.
 """
 from __future__ import annotations
 
@@ -89,32 +91,52 @@ def collections() -> int:
     return sum(gen["collections"] for gen in gc.get_stats())
 
 
-def time_ops(kind: str, prefill: int, ops: int, rounds: int,
-             seed: int = 1):
-    """The minimum raw and rescaled ns/op over ``rounds`` of one timed
-    pass over ``ops`` pre-drawn ops after a ``prefill``, each round on a
-    fresh queue, and the collections per 1 000 ops that the timed passes
-    ran.  A pass is rescaled by the geometric mean of the reference speeds
-    timed just before and just after it."""
+def draw(prefill: int, ops: int, seed: int):
+    """The prefill's keys and the op script (a key to insert, or None for
+    a delete), drawn at ``seed``."""
     rng = random.Random(seed)
     keys = [rng.getrandbits(32) for _ in range(prefill)]
     script = [rng.getrandbits(32) if rng.random() < 0.5 else None
               for _ in range(ops)]
+    return keys, script
+
+
+def prefilled(kind: str, keys, seed: int):
+    """A fresh queue's handle, with ``keys`` inserted through it."""
+    h = make_queue(kind).register(random.Random(seed))
+    for key in keys:
+        h.insert(key)
+    return h
+
+
+def run(h, script) -> None:
+    insert, delete_min = h.insert, h.delete_min
+    for key in script:
+        if key is None:
+            delete_min()
+        else:
+            insert(key)
+
+
+def time_ops(kind: str, prefill: int, ops: int, rounds: int,
+             seed: int = 1, settle=None):
+    """The minimum raw and rescaled ns/op over ``rounds`` of one timed
+    pass over ``ops`` pre-drawn ops after a ``prefill``, each round on a
+    fresh queue, and the collections per 1 000 ops that the timed passes
+    ran.  A pass is rescaled by the geometric mean of the reference speeds
+    timed just before and just after it.  ``settle``, if given, is called
+    after each prefill (``gc.freeze``, say)."""
+    keys, script = draw(prefill, ops, seed)
     best = scaled = float("inf")
     gcs = 0
     for r in range(rounds):
-        h = make_queue(kind).register(random.Random(seed + r))
-        insert, delete_min = h.insert, h.delete_min
-        for key in keys:
-            insert(key)
+        h = prefilled(kind, keys, seed + r)
+        if settle is not None:
+            settle()
         ref = reference_mops()
         gc0 = collections()
         t0 = time.perf_counter_ns()
-        for key in script:
-            if key is None:
-                delete_min()
-            else:
-                insert(key)
+        run(h, script)
         ns = (time.perf_counter_ns() - t0) / ops
         gcs += collections() - gc0
         ref = (ref * reference_mops()) ** 0.5
@@ -123,16 +145,38 @@ def time_ops(kind: str, prefill: int, ops: int, rounds: int,
     return best, scaled, gcs * 1000 / (rounds * ops)
 
 
+def calls_per_op(kind: str, prefill: int, ops: int, seed: int = 1) -> float:
+    """Python call events per op of one untimed pass over the script that
+    :func:`time_ops` times, counted by ``sys.setprofile``.  The count
+    repeats exactly at a seed; it stands next to time, never for it."""
+    keys, script = draw(prefill, ops, seed)
+    h = prefilled(kind, keys, seed)
+    calls = 0
+
+    def on_event(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(on_event)
+    try:
+        run(h, script)
+    finally:
+        sys.setprofile(None)
+    # run's own frame was entered after the profiler was set
+    return (calls - 1) / ops
+
+
 def child(args) -> None:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, args.child_src)
-    print(*time_ops(args.child, args.prefill, args.ops, args.rounds))
+    print(*time_ops(args.child, args.prefill, args.ops, args.rounds),
+          calls_per_op(args.child, args.prefill, args.ops))
 
 
 def measure(src: str, kind: str, args):
-    """``(ns/op, rescaled ns/op, collections per 1 000 ops)`` from one
-    fresh process."""
+    """``(ns/op, rescaled ns/op, collections per 1 000 ops, calls per
+    op)`` from one fresh process."""
     cmd = [sys.executable, os.path.abspath(__file__), "--child", kind,
            "--child-src", src, "--prefill", str(args.prefill),
            "--ops", str(args.ops), "--rounds", str(args.rounds)]
@@ -183,9 +227,10 @@ def main(argv=None) -> int:
             q1, med, q3 = quartiles([r[0] for r in rs])
             s1, smed, s3 = quartiles([r[1] for r in rs])
             gcs = quartiles([r[2] for r in rs])[1]
+            calls = quartiles([r[3] for r in rs])[1]
             print(f"{kind:<10} {med:8.1f} ns/op  (quartiles {q1:.1f}-{q3:.1f})"
                   f"  {smed:8.1f} rescaled ns/op  (quartiles {s1:.1f}-{s3:.1f})"
-                  f"  {gcs:6.2f} gc/1k ops  {src}")
+                  f"  {gcs:6.2f} gc/1k ops  {calls:6.3f} calls/op  {src}")
         if len(srcs) == 2:
             # the rescaled figures decide; the raw ones follow for reference
             for col, label in ((1, ""), (0, " raw")):
