@@ -47,10 +47,10 @@ class Item(int):
     and ``seq`` are C-level shift and mask reads.
 
     ``taken`` is a one-shot consumption flag: once an item is handed to a
-    caller it is dead everywhere, even if block snapshots still reference
-    it.  The flag is the item's class, so an item carries no instance
-    dict: :class:`ClaimTable` flips it by moving the item to
-    :class:`TakenItem`, the only way it changes.
+    caller it is dead everywhere, even if a spy's copy of the victim's
+    block list still references it.  The flag is the item's class, so an
+    item carries no instance dict: :class:`ClaimTable` flips it by moving
+    the item to :class:`TakenItem`, the only way it changes.
     """
 
     __slots__ = ()
@@ -126,8 +126,9 @@ def merge_sorted_live(
 ) -> List[Item]:
     """Merge of the live tails of two sorted item lists by
     :func:`sorted_live`.  Inputs are never mutated, so the result can
-    safely replace blocks that snapshots still reference.  Two tails of one
-    item each, the commonest merge, are compared directly, same outcome.
+    safely replace blocks that a spy's copy of the victim's block list
+    still references.  Two tails of one item each, the commonest merge,
+    are compared directly, same outcome.
     A ``private`` merge (see :class:`Lsm`) skips the filter, since no other
     thread takes its items or copies them in: it orders a pair by one
     compare and sorts anything longer.
@@ -156,9 +157,10 @@ class Block:
     structural count, not necessarily the live count.
 
     A shared block never changes once built: popping a head makes a new
-    block over the same item list, so published snapshots stay as they
-    were.  Only a private :class:`Lsm`, whose blocks no other thread can
-    read, changes its blocks in place, in its pops and its insert carry.
+    block over the same item list, so the spy's copy of the victim's block
+    list stays as it was taken.  Only a private :class:`Lsm`, whose blocks
+    no other thread can read, changes its blocks in place, in its pops and
+    its insert carry.
     """
 
     __slots__ = ("capacity", "items", "head")
@@ -207,10 +209,11 @@ def place(blocks: List[Block], blk: Block, private: bool = False) -> int:
     the merged items walk on with their fitted capacity; a merge whose
     consumed items shrink it below the blocks already passed walks in
     again from the small end.  One new block is built where the carry
-    lands, so snapshots that hold the old ones stay valid.  Returns how
-    many slots the merges dropped (taken items and second copies), so a
-    caller can keep its occupancy count; ``private`` merges drop none.  A
-    private :class:`Lsm`'s insert never walks here, only a pop that shrinks.
+    lands, so a spy's copy of the block list that holds the old ones stays
+    valid.  Returns how many slots the merges dropped (taken items and
+    second copies), so a caller can keep its occupancy count; ``private``
+    merges drop none.  A private :class:`Lsm`'s insert never walks here,
+    only a pop that shrinks.
     """
     items, head, cap = blk.items, blk.head, blk.capacity
     dropped = 0
@@ -259,8 +262,9 @@ class Lsm:
     """Sequential priority queue over distinct-capacity sorted blocks.
 
     Single-owner: no internal synchronisation.  Other threads may read
-    blocks (via published snapshots) and kill individual items through a
-    shared :class:`ClaimTable`; only the owner restructures.
+    blocks (through the spy's copy of the victim's block list) and kill
+    individual items through a shared :class:`ClaimTable`; only the owner
+    restructures.
 
     A ``private`` queue's blocks no other thread can ever read (the one
     behind ``SeqLsmQueue``, a one-thread group's local part): nothing in

@@ -6,7 +6,8 @@ from a window of the k+1 globally smallest.  A deletion peeks both parts
 and claims the smaller head (ties go to the local part, which is cheaper).
 The composed queue holds the one claim table; the parts only read
 ``taken``.  So an item is handed out exactly once no matter how many stale
-copies of it exist in spied snapshots or spilled blocks.
+copies of it exist in spies' copies of a victim's block list or in
+spilled blocks.
 
 With P threads, a deletion returns one of the k*P + 1 smallest items.
 """
@@ -68,9 +69,7 @@ class KlsmHandle:
         self.dlsm.insert(it)
         local = self.dlsm.local
         while local.size > self.q.k:
-            blk = local.spill_largest()
-            self.dlsm.publish()
-            self.q.slsm.insert_batch(blk)
+            self.q.slsm.insert_batch(local.spill_largest())
         return it
 
     def prefill(self, keys: List[int]) -> List[Item]:
@@ -85,7 +84,6 @@ class KlsmHandle:
         self.dlsm.local.fill(items[spilled:])
         for j in range(0, spilled, top):
             self.q.slsm.insert_batch(Block(top, sorted(items[j:j + top])))
-        self.dlsm.publish()
         return items
 
     def delete_min(self) -> Optional[Item]:

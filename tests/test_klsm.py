@@ -39,7 +39,8 @@ def test_fifth_insert_spills_largest_block():
 
 def test_published_blocks_keep_their_heads_while_the_owner_pops():
     """Only a one-thread group's local part pops in place: with two
-    threads, a snapshot another thread may spy must stay as published."""
+    threads, the blocks a spy copied must stay as they were copied while
+    the owner pops, inserts and spills."""
     assert Klsm(k=4, threads=1).register().dlsm.local.private
     q = Klsm(k=64, threads=2)
     h = q.register(random.Random(0))
@@ -47,13 +48,16 @@ def test_published_blocks_keep_their_heads_while_the_owner_pops():
     assert not h.dlsm.local.private
     for key in range(48):   # blocks 32 and 16, all local
         h.insert(key)
-    snap = q.dlsm.slots[0]
-    published = [(blk, blk.capacity, blk.head, list(blk.items)) for blk in snap]
-    assert [cap for _, cap, _, _ in published] == [32, 16]
+    snap = tuple(h.dlsm.local.blocks)   # as a spy copies it
+    copied = [(blk, blk.capacity, blk.head, list(blk.items)) for blk in snap]
+    assert [cap for _, cap, _, _ in copied] == [32, 16]
     assert [h.delete_min().key for _ in range(40)] == list(range(40))
-    assert q.dlsm.slots[0] is not snap
+    for key in range(100, 180):   # past k again: the largest block spills
+        h.insert(key)
+    assert q.slsm.live_items()
+    assert not set(snap) & set(h.dlsm.local.blocks)
     assert [(blk, blk.capacity, blk.head, list(blk.items))
-            for blk in snap] == published
+            for blk in snap] == copied
 
 
 def test_k0_sends_every_insert_to_shared_part():
@@ -152,13 +156,15 @@ def test_live_count_tracks_inserts_and_deletes():
 
 
 def test_live_count_reads_local_parts_without_snapshots():
-    """A one-thread group publishes nothing, so the count comes from the
-    handle's own blocks and the shared part."""
+    """A one-thread group's local part is private, read by no spy; the
+    count comes from the handle's own blocks and the shared part."""
     q = Klsm(k=4, threads=1)
     h = q.register(random.Random(0))
     for i in range(20):
         h.insert(i)
-    assert q.dlsm.slots == [()]
+    local = h.dlsm.local
+    assert local.private
+    assert len(list(local.live_items())) == local.size > 0
     assert q.slsm.live_items()
     assert len(q.live_items()) == 20
 
@@ -168,7 +174,7 @@ def test_live_count_counts_spied_copies_once():
     a, b = q.register(random.Random(1)), q.register(random.Random(2))
     for i in range(30):
         a.insert(i)
-    # b's local part is empty, so it copies a's snapshot before deleting
+    # b's local part is empty, so it copies a's blocks before deleting
     assert b.delete_min().key == 0
     assert b.dlsm.local.size == 29
     assert len(q.live_items()) == 29

@@ -18,3 +18,7 @@ def test_reports_every_gc_mode_and_the_swap_bound():
     assert all(float(ns) > 0 for ns in got.values())
     assert re.search(r"^klsm Slsm\._swap [\d.]+ calls/op .* = +[\d.]+ ns/op$",
                      out, re.M), out
+    traffic = r"[\d.]+ spies/op, [\d.]+ copying/op, [\d.]+ dead-memo hits/op"
+    assert re.search(rf"^klsm DlsmHandle\.spy .*: throughput {traffic}; "
+                     rf"quality {traffic} \(drain after it: \d+ spies, \d+ "
+                     r"copying, \d+ dead-memo hits\)$", out, re.M), out

@@ -5,8 +5,7 @@ would leave in sorted runs.  Each case here prefills three fresh runs of
 one configuration: through the harness with ``bench._Logged`` recorders
 around the handles, through it with ``bench._Tracked`` recorders, and
 through the per-item loop kept below as the reference.  It then compares
-every block, count, snapshot, window member, ``Slsm.version`` and next
-seq, the quality log and the conservation track, and finally the seqs a
+every block, count, window member, ``Slsm.version`` and next seq, the quality log and the conservation track, and finally the seqs a
 fixed op mix deletes.
 """
 import random
@@ -66,7 +65,6 @@ def state(queue, handles):
     return (
         [(blocks(h.dlsm.local.blocks), h.dlsm.local.size,
           h._seqs.__reduce__()) for h in handles],
-        [blocks(slot) for slot in queue.dlsm.slots],
         blocks(s.blocks), list(s.members), s.version,
     )
 

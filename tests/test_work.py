@@ -9,7 +9,15 @@ prefill through ``bench._prefill``, then 2 000 ops of ``ThreadWorkload.next``
 plus the handle call, as ``bench._worker`` makes them.  Every opcode in every
 frame below the op loop counts, the workload's and the queue's alike.
 Counts are CPython 3.11's; other versions compile to other opcodes.
+
+``klsm-two-handles`` counts klsm's shared path: two handles, so the local
+parts are shared ``Lsm``s and claims take locks, at the ``quality-2t`` shape
+(uniform16 keys, a 10 000-item prefill), driven from one OS thread.  A
+seeded schedule picks the handle of each of the 2 000 ops; then handle 0
+drains the queue as ``bench.run_quality_rep`` does, spying on handle 1 once
+its own part runs dry.  The count is per op and drained item.
 """
+import random
 import sys
 
 import pytest
@@ -17,6 +25,7 @@ import pytest
 from pqbench import bench
 from pqbench.baseline import LockedHeap
 from pqbench.bench import BenchConfig, _build_run, _prefill
+from pqbench.dlsm import DlsmHandle
 from pqbench.workload import INSERT
 
 pytestmark = pytest.mark.skipif(
@@ -26,25 +35,43 @@ pytestmark = pytest.mark.skipif(
 OPS = 2000
 BAND = 0.05
 # opcodes per op at seed 1
-PINNED = {"klsm": 273.8, "seqlsm": 176.8, "multiq": 132.6, "globallock": 47.0}
+PINNED = {"klsm": 273.8, "seqlsm": 176.8, "multiq": 132.6, "globallock": 47.0,
+          "klsm-two-handles": 333.6}
+TWO_HANDLES = dict(queue="klsm", threads=2, keys="uniform16", prefill=10_000)
 
 
-def _run_ops(next_op, insert, delete_min, ops):
-    """The harness's op loop, run untraced: only the frames it calls count."""
-    for _ in range(ops):
+def _run_ops(steps, drain):
+    """The harness's op loop, then a drain until the queue is observed empty,
+    run untraced: only the frames they call count.  Returns the number of
+    items drained."""
+    for next_op, insert, delete_min in steps:
         kind, key = next_op()
         if kind == INSERT:
             insert(key)
         else:
             delete_min()
+    return len(list(iter(drain, None))) if drain else 0
 
 
-def opcodes_per_op(queue, seed=1, ops=OPS):
-    cfg = BenchConfig(queue=queue, k=256, threads=1, keys="uniform32",
-                      prefill=3000, seed=seed)
+def _set_up(name, seed, ops):
+    """The arguments of :func:`_run_ops` for input ``name``, prefilled."""
+    if name == "klsm-two-handles":
+        cfg = BenchConfig(k=256, seed=seed, **TWO_HANDLES)
+    else:
+        cfg = BenchConfig(queue=name, k=256, threads=1, keys="uniform32",
+                          prefill=3000, seed=seed)
     _, wls, handles = _build_run(cfg, 0)
     _prefill(cfg, wls, handles)
-    args = (wls[0].next, handles[0].insert, handles[0].delete_min, ops)
+    calls = [(wl.next, h.insert, h.delete_min) for wl, h in zip(wls, handles)]
+    if len(calls) == 1:
+        return calls * ops, None
+    rng = random.Random(seed)
+    return ([calls[rng.randrange(len(calls))] for _ in range(ops)],
+            handles[0].delete_min)
+
+
+def opcodes_per_op(name, seed=1, ops=OPS):
+    args = _set_up(name, seed, ops)
     count = 0
 
     def on_event(frame, event, arg):
@@ -61,10 +88,10 @@ def opcodes_per_op(queue, seed=1, ops=OPS):
 
     sys.settrace(on_call)
     try:
-        _run_ops(*args)
+        drained = _run_ops(*args)
     finally:
         sys.settrace(None)
-    return count / ops
+    return count / (ops + drained)
 
 
 @pytest.mark.parametrize("queue", sorted(PINNED))
@@ -72,6 +99,21 @@ def test_opcodes_per_op_are_pinned(queue):
     got = opcodes_per_op(queue)
     assert got == pytest.approx(PINNED[queue], rel=BAND), (
         f"{queue}: {got:.1f} opcodes per op, pinned at {PINNED[queue]}")
+
+
+def test_two_handle_input_runs_spies_and_locked_claims(monkeypatch):
+    spy = DlsmHandle.spy
+    copied = []
+
+    def counted(handle):
+        copied.append(spy(handle))
+        return copied[-1]
+
+    monkeypatch.setattr(DlsmHandle, "spy", counted)
+    steps, drain = _set_up("klsm-two-handles", 1, OPS)
+    assert drain.__self__.q.claims._locks
+    _run_ops(steps, drain)
+    assert len(copied) > 100 and any(copied)
 
 
 def test_count_repeats_exactly():

@@ -13,6 +13,13 @@ The mutex: one untimed pass of the same script counts ``Slsm._swap``
 calls per op, and ``timeit`` takes the minimum cost of an uncontended
 ``with lock: pass``; their product bounds what the mutex costs per op.
 
+The spy traffic: one 2-thread klsm throughput rep and one quality rep at
+the ``quality-2t`` shape (k = 256, uniform16 keys, a 10 000-item prefill,
+1 s) count ``DlsmHandle.spy`` calls per op in the window: all spies, those
+that copied items, and those that found their victim's blocks in the
+dead-copy memo.  The quality rep's drain after the window, through one
+handle, is counted apart.
+
     python tools/levers.py                    # this checkout, 7 pairs
     python tools/levers.py --src ../other/src --pairs 3
 
@@ -27,6 +34,7 @@ import subprocess
 import sys
 import threading
 import timeit
+from typing import Tuple
 
 import direct_ops
 
@@ -51,6 +59,47 @@ def swaps_per_op(prefill: int, ops: int, seed: int = 1) -> float:
     finally:
         Slsm._swap = swap
     return swaps / ops
+
+
+def spy_traffic(mode: str) -> Tuple[float, ...]:
+    """Spies, copying spies and dead-memo hits per op in one ``mode`` rep's
+    window, then the same three counts in its drain, if it has one.
+
+    A spy that copied nothing and left every memo entry it had as it was
+    found each of them in the memo; at two threads, one victim, that
+    counts every hit.
+    """
+    from pqbench import bench
+    from pqbench.dlsm import DlsmHandle
+    cfg = bench.BenchConfig(queue="klsm", k=256, threads=2, keys="uniform16",
+                            prefill=10_000, duration_s=1.0, mode=mode)
+    spy, drain = DlsmHandle.spy, bench._drain
+    counts = [0] * 6
+    phase = [0]   # 0 in the window, 3 in the drain
+    lock = threading.Lock()   # both workers count
+
+    def counted(handle):
+        memo = list(handle._dead_snaps.items())
+        copied = spy(handle)
+        hits = 0 if copied else sum(handle._dead_snaps[v] is snap
+                                    for v, snap in memo)
+        with lock:
+            counts[phase[0]] += 1
+            counts[phase[0] + 1] += copied > 0
+            counts[phase[0] + 2] += hits
+        return copied
+
+    def drain_counted(handle):
+        phase[0] = 3
+        return drain(handle)
+
+    DlsmHandle.spy, bench._drain = counted, drain_counted
+    try:
+        rep = (bench.run_quality_rep if mode == "quality"
+               else bench.run_throughput_rep)(cfg, 0)
+    finally:
+        DlsmHandle.spy, bench._drain = spy, drain
+    return tuple(c / rep.ops_total for c in counts[:3]) + tuple(counts[3:])
 
 
 def lock_ns() -> float:
@@ -106,6 +155,13 @@ def main(argv=None) -> int:
     ns = lock_ns()
     print(f"klsm Slsm._swap {swaps:.4f} calls/op  x  {ns:.1f} ns per "
           f"uncontended lock  =  {swaps * ns:.2f} ns/op")
+    tput, quality = spy_traffic("throughput"), spy_traffic("quality")
+    per_op = "{:.4f} spies/op, {:.4f} copying/op, {:.4f} dead-memo hits/op"
+    print("klsm DlsmHandle.spy at 2 threads, quality-2t shape: throughput "
+          + per_op.format(*tput[:3]) + "; quality "
+          + per_op.format(*quality[:3])
+          + " (drain after it: {} spies, {} copying, {} dead-memo hits)"
+          .format(*quality[3:]))
     return 0
 
 
